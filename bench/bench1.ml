@@ -240,9 +240,11 @@ let micro_row ledger digest rng ~records ~dist ~zipf ~batch =
   let cost = Cost.default in
   { m_dist = dist;
     m_batch = batch;
-    m_bytes_batched = Ledger.batch_proof_size_bytes bp;
+    m_bytes_batched = Ledger.batch_proof_codec.Codec.size_bytes bp;
     m_bytes_independent =
-      List.fold_left (fun a p -> a + Ledger.proof_size_bytes p) 0 proofs;
+      List.fold_left
+        (fun a p -> a + Ledger.proof_codec.Codec.size_bytes p)
+        0 proofs;
     m_hashes_batched = cb.Work.hashes + vb.Work.hashes;
     m_hashes_independent = ci.Work.hashes + vi.Work.hashes;
     m_page_reads_batched = cb.Work.page_reads + vb.Work.page_reads;

@@ -1,4 +1,4 @@
-(* PR-5 measurement: the domain-pool sweep.
+(* The domain-pool sweep.
 
    Runs the hot paths that Glassdb_util.Pool parallelizes — POS-tree batch
    build and incremental update, multi-block batched proof assembly,
@@ -27,12 +27,11 @@ open Bench1
 
 (* v4: adds a per-pool-size "granularity" section — the deterministic
    task-sizing counters of the cost-aware pool (job/task counts, bypass
-   jobs/items, declared cost units, the work threshold in force) — and,
-   on multi-core hosts, gates that the hashing-bound stages (pos_build,
-   proofs) actually speed up at pool size 4.  v3 added the per-pool-size
-   "prof" section (glassdb.prof/v1) and the sampled "metrics" section;
-   v2 carried stage rows + digests only; v1 was the speedup-only draft
-   shape. *)
+   jobs/items, declared cost units, the work threshold).  v3 added the
+   per-pool-size "prof" section (glassdb.prof/v1) and the sampled
+   "metrics" section; v2 carried stage rows + digests only; v1 was the
+   speedup-only draft shape.  Speedup is reported, never gated: it
+   depends on the host, and the regression gate treats it as volatile. *)
 let schema_id = "glassdb.bench5/v4"
 
 type scale = {
@@ -119,7 +118,7 @@ let stage_proofs sc =
     Wallclock.wall_timed (fun () -> Ledger.prove_inclusion_batches ledger groups)
   in
   let buf = Buffer.create 65536 in
-  List.iter (Ledger.encode_batch_proof buf) bps;
+  List.iter (Ledger.batch_proof_codec.Codec.encode buf) bps;
   let digest = Ledger.digest ledger in
   (wall,
    sha_hex
@@ -235,7 +234,7 @@ let run ~quick ~pool_sizes () =
               let num i = Num (float_of_int i) in
               Obj
                 [ ("pool_size", num n);
-                  ("work_threshold", num (Pool.work_threshold ()));
+                  ("work_threshold", num Pool.work_threshold);
                   ("jobs", num p.Obs.Prof.p_jobs);
                   ("parallel_jobs", num p.Obs.Prof.p_parallel_jobs);
                   ("bypass_jobs", num p.Obs.Prof.p_bypass_jobs);
@@ -373,39 +372,6 @@ let validate text =
          (fun n ->
            if not (List.mem n seen) then raise (Bad ("missing stage " ^ n)))
          stage_names;
-       (* v4: the pool has to pay off where the work is hashing-bound.
-          Hosts with a single core cannot speed anything up (the extra
-          domains just time-slice), so the gate only bites when the host
-          reports more than one core and the sweep actually ran size 4. *)
-       let host_cores =
-         match field "host_cores" j with
-         | Some (Num c) -> c
-         | _ -> assert false (* require_num above *)
-       in
-       if host_cores > 1. && List.mem (Num 4.) pool_sizes then
-         List.iter
-           (fun name ->
-             let st =
-               List.find (fun st -> field "stage" st = Some (Str name)) stages
-             in
-             let runs =
-               match field "runs" st with Some (Arr l) -> l | _ -> []
-             in
-             match
-               List.find_opt
-                 (fun r -> field "pool_size" r = Some (Num 4.))
-                 runs
-             with
-             | Some r ->
-               (match field "speedup" r with
-                | Some (Num s) when s > 1.0 -> ()
-                | _ ->
-                  raise
-                    (Bad
-                       (name
-                        ^ ": no speedup at pool size 4 on a multi-core host")))
-             | None -> raise (Bad (name ^ ": missing pool-size-4 run")))
-           [ "pos_build"; "proofs" ];
        (* v4: one deterministic task-sizing row per pool size. *)
        let grans =
          match field "granularity" j with

@@ -42,10 +42,11 @@ let table1 () =
           txn := !txn + batch
         done;
         let current =
-          Glassdb.Ledger.proof_size_bytes (Glassdb.Ledger.prove_current !l "key-007")
+          Glassdb.Ledger.proof_codec.Glassdb_util.Codec.size_bytes
+            (Glassdb.Ledger.prove_current !l "key-007")
         in
         let append =
-          Glassdb.Ledger.append_proof_size_bytes
+          Glassdb.Ledger.append_proof_codec.Glassdb_util.Codec.size_bytes
             (Glassdb.Ledger.prove_append_only !l
                ~old_block:(Glassdb.Ledger.latest_block !l / 2))
         in

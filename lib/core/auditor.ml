@@ -122,7 +122,8 @@ let audit_shard t ~shard =
      last audited position. *)
   let head =
     Cluster.call t.cluster ~shard ~req_bytes:64
-      ~resp_bytes:(fun (_, p) -> 64 + Ledger.append_proof_size_bytes p)
+      ~resp_bytes:(fun (_, p) ->
+        64 + Ledger.append_proof_codec.Codec.size_bytes p)
       (fun nd ->
         (Node.digest nd, Node.prove_append_only nd ~old_block:view.digest.Ledger.block_no))
   in
@@ -189,7 +190,7 @@ let verify_user_digest t ~shard (user_digest : Ledger.digest) =
        ours. *)
     match
       Cluster.call t.cluster ~shard ~req_bytes:64
-        ~resp_bytes:Ledger.append_proof_size_bytes
+        ~resp_bytes:Ledger.append_proof_codec.Codec.size_bytes
         (fun nd -> Node.prove_append_only nd ~old_block:user_digest.Ledger.block_no)
     with
     | Error _ -> false
@@ -219,7 +220,7 @@ let gossip t peer =
     if behind.Ledger.block_no >= 0 then begin
       match
         Cluster.call t.cluster ~shard:s ~req_bytes:64
-          ~resp_bytes:Ledger.append_proof_size_bytes
+          ~resp_bytes:Ledger.append_proof_codec.Codec.size_bytes
           (fun nd -> Node.prove_append_only nd ~old_block:behind.Ledger.block_no)
       with
       | Error _ -> ()

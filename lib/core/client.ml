@@ -1,5 +1,6 @@
 module Kv = Txnkit.Kv
 module Error = Glassdb_util.Error
+module Codec = Glassdb_util.Codec
 
 type pending = { due : float; promise : Node.promise }
 
@@ -115,7 +116,7 @@ let gossip a b =
       match
         with_retry a ~label:"gossip" (fun () ->
             Cluster.call a.cluster ~timeout:a.rpc_timeout ~shard:s ~req_bytes:64
-              ~resp_bytes:Ledger.append_proof_size_bytes
+              ~resp_bytes:Ledger.append_proof_codec.Codec.size_bytes
               (fun nd ->
                 Node.prove_append_only nd ~old_block:behind.Ledger.block_no))
       with
@@ -378,8 +379,8 @@ let check_read t shard key expected ~from (vr : Node.verified_read) ~current =
   ignore expected;
   { v_ok = ok;
     v_proof_bytes =
-      Ledger.proof_size_bytes vr.Node.vr_proof
-      + Ledger.append_proof_size_bytes vr.Node.vr_append;
+      Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
+      + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append;
     v_latency = Sim.now () -. started;
     v_keys = 1 }
 
@@ -395,8 +396,8 @@ let verified_get_latest t key =
           ~resp_bytes:(fun r ->
             match r with
             | Some vr ->
-              Ledger.proof_size_bytes vr.Node.vr_proof
-              + Ledger.append_proof_size_bytes vr.Node.vr_append + 64
+              Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
+              + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append + 64
             | None -> 16)
           (fun nd -> Node.get_verified_latest nd key ~from))
   with
@@ -419,8 +420,8 @@ let verified_get_at t key ~block =
           ~resp_bytes:(fun r ->
             match r with
             | Some vr ->
-              Ledger.proof_size_bytes vr.Node.vr_proof
-              + Ledger.append_proof_size_bytes vr.Node.vr_append + 64
+              Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
+              + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append + 64
             | None -> 16)
           (fun nd -> Node.get_verified_at nd key ~block ~from))
   with
@@ -470,9 +471,9 @@ let flush_verifications t ?(force = false) () =
             ~req_bytes:(64 * List.length ps)
             ~resp_bytes:(fun (proofs, appendp, _) ->
               List.fold_left
-                (fun a p -> a + Ledger.batch_proof_size_bytes p)
+                (fun a p -> a + Ledger.batch_proof_codec.Codec.size_bytes p)
                 0 proofs
-              + Ledger.append_proof_size_bytes appendp + 64)
+              + Ledger.append_proof_codec.Codec.size_bytes appendp + 64)
             (fun nd ->
               Node.get_proofs nd (List.map (fun p -> p.promise) ps) ~from)
         in
@@ -494,7 +495,7 @@ let flush_verifications t ?(force = false) () =
           else begin
             let batch_bytes =
               List.fold_left
-                (fun a p -> a + Ledger.batch_proof_size_bytes p)
+                (fun a p -> a + Ledger.batch_proof_codec.Codec.size_bytes p)
                 0 proofs
             in
             let ok, _ =

@@ -9,7 +9,6 @@ type t = {
 }
 
 let create cfg =
-  Glassdb_util.Pool.set_work_threshold cfg.Config.pool_work_threshold;
   { cfg;
     nodes =
       Array.init cfg.Config.shards (fun i ->

@@ -7,7 +7,6 @@ type t = {
   pattern_bits : int;
   queue_capacity : int;
   blocks_per_hashify : int;
-  pool_work_threshold : int;
   cost : Cost.t;
   rtt : float;
   bandwidth : float;
@@ -21,14 +20,15 @@ type t = {
 let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     ?(batching = true) ?(sync_persist = false) ?(pattern_bits = 5)
     ?(queue_capacity = 4096) ?(blocks_per_hashify = 1)
-    ?(pool_work_threshold = 65536) ?(cost = Cost.default)
-    ?(rtt = 200e-6) ?(bandwidth = 125e6) ?(rpc_timeout = 1.0)
-    ?(rpc_retries = 2) ?(retry_backoff = 0.01) ?(verify_delay = 0.1) ?faults
+    ?(cost = Cost.default) ?(rtt = 200e-6) ?(bandwidth = 125e6)
+    ?(rpc_timeout = 1.0) ?(rpc_retries = 2) ?(retry_backoff = 0.01) ?(verify_delay = 0.1) ?faults
     () =
   if shards <= 0 then invalid_arg "Config.make: shards";
   if workers <= 0 then invalid_arg "Config.make: workers";
   if blocks_per_hashify < 1 then invalid_arg "Config.make: blocks_per_hashify";
-  if pool_work_threshold < 0 then invalid_arg "Config.make: pool_work_threshold";
+  if persist_interval <= 0. then invalid_arg "Config.make: persist_interval";
+  if pattern_bits < 1 || pattern_bits > 20 then
+    invalid_arg "Config.make: pattern_bits";
   if rpc_timeout <= 0. then invalid_arg "Config.make: rpc_timeout";
   if rpc_retries < 0 then invalid_arg "Config.make: rpc_retries";
   if retry_backoff < 0. then invalid_arg "Config.make: retry_backoff";
@@ -41,7 +41,6 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     pattern_bits;
     queue_capacity;
     blocks_per_hashify;
-    pool_work_threshold;
     cost;
     rtt;
     bandwidth;

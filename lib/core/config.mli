@@ -16,11 +16,6 @@ type t = {
   pattern_bits : int;       (** POS-tree split-pattern bits *)
   queue_capacity : int;     (** max in-flight txns per node before aborting *)
   blocks_per_hashify : int; (** committed-map layers folded per hashify *)
-  pool_work_threshold : int;
-  (** small-batch pool bypass threshold, in cost units (~bytes to hash):
-      cost-sized parallel maps below it run serially with zero task
-      submissions.  Applied to {!Glassdb_util.Pool.set_work_threshold} by
-      {!Cluster.create}. *)
   cost : Cost.t;            (** work → simulated-time model *)
   rtt : float;              (** network round trip, seconds *)
   bandwidth : float;        (** link bandwidth, bytes/second *)
@@ -42,7 +37,6 @@ val make :
   ?blocks_per_hashify:int ->(* 1; >1 folds N layers into one block, but
                                intra-fold superseded writes lose their
                                deferred-verification promises *)
-  ?pool_work_threshold:int ->(* 65536 cost units (~bytes to hash) *)
   ?cost:Cost.t ->           (* Cost.default *)
   ?rtt:float ->             (* 200e-6 s: same-rack TCP *)
   ?bandwidth:float ->       (* 125e6 B/s: 1 Gbps *)
@@ -53,8 +47,9 @@ val make :
   ?faults:Faults.t ->       (* Faults.none () *)
   unit -> t
 (** Labelled smart constructor; defaults in the comments above.  Raises
-    [Invalid_argument] on non-positive [shards]/[workers]/[rpc_timeout]
-    or negative retry settings. *)
+    [Invalid_argument] on non-positive [shards]/[workers]/
+    [persist_interval]/[rpc_timeout], [blocks_per_hashify < 1],
+    [pattern_bits] outside 1..20, or negative retry settings. *)
 
 val default : t
 

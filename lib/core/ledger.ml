@@ -306,21 +306,17 @@ let proof_codec : proof Codec.codec =
     ~encode:(fun buf p ->
       Codec.write_varint buf p.p_block;
       Codec.write_string buf p.p_header;
-      Pos_tree.encode_proof buf p.p_upper;
-      Pos_tree.encode_proof buf p.p_lower;
+      Pos_tree.proof_codec.Codec.encode buf p.p_upper;
+      Pos_tree.proof_codec.Codec.encode buf p.p_lower;
       Codec.write_option buf Codec.write_string p.p_payload)
     ~decode:(fun r ->
       let p_block = Codec.read_varint r in
       let p_header = Codec.read_string r in
-      let p_upper = Pos_tree.decode_proof r in
-      let p_lower = Pos_tree.decode_proof r in
+      let p_upper = Pos_tree.proof_codec.Codec.decode r in
+      let p_lower = Pos_tree.proof_codec.Codec.decode r in
       let p_payload = Codec.read_option r Codec.read_string in
       { p_block; p_header; p_upper; p_lower; p_payload })
     ()
-
-let encode_proof = proof_codec.Codec.encode
-let decode_proof = proof_codec.Codec.decode
-let proof_size_bytes = proof_codec.Codec.size_bytes
 
 (* The batched wire encoding for a set of single-key proofs: the distinct
    headers and chunks once, then per-proof frames referencing them by
@@ -418,8 +414,8 @@ let batch_proof_codec : batch_proof Codec.codec =
     ~encode:(fun buf p ->
       Codec.write_varint buf p.bp_block;
       Codec.write_string buf p.bp_header;
-      Pos_tree.encode_proof buf p.bp_upper;
-      Pos_tree.encode_multiproof buf p.bp_lower;
+      Pos_tree.proof_codec.Codec.encode buf p.bp_upper;
+      Pos_tree.multiproof_codec.Codec.encode buf p.bp_lower;
       Codec.write_list buf
         (fun b (k, v) ->
           Codec.write_string b k;
@@ -428,8 +424,8 @@ let batch_proof_codec : batch_proof Codec.codec =
     ~decode:(fun r ->
       let bp_block = Codec.read_varint r in
       let bp_header = Codec.read_string r in
-      let bp_upper = Pos_tree.decode_proof r in
-      let bp_lower = Pos_tree.decode_multiproof r in
+      let bp_upper = Pos_tree.proof_codec.Codec.decode r in
+      let bp_lower = Pos_tree.multiproof_codec.Codec.decode r in
       let bp_items =
         Codec.read_list r (fun r' ->
             let k = Codec.read_string r' in
@@ -438,10 +434,6 @@ let batch_proof_codec : batch_proof Codec.codec =
       in
       { bp_block; bp_header; bp_upper; bp_lower; bp_items })
     ()
-
-let encode_batch_proof = batch_proof_codec.Codec.encode
-let decode_batch_proof = batch_proof_codec.Codec.decode
-let batch_proof_size_bytes = batch_proof_codec.Codec.size_bytes
 
 let prove_inclusion_batch t keys ~block =
   match (header_at t block, state_at t block) with
@@ -533,8 +525,8 @@ type scan_proof = {
 
 let scan_proof_size_bytes p =
   String.length p.sp_header
-  + Pos_tree.proof_size_bytes p.sp_upper
-  + Pos_tree.range_proof_size_bytes p.sp_range + 8
+  + Pos_tree.proof_codec.Codec.size_bytes p.sp_upper
+  + Pos_tree.range_proof_codec.Codec.size_bytes p.sp_range + 8
 
 let prove_scan t ~lo ~hi ?block () =
   let block = Option.value ~default:t.latest block in
@@ -634,18 +626,14 @@ let append_proof_codec : append_proof Codec.codec =
       | Head_inclusion { a_header; a_upper } ->
         Codec.write_bool buf true;
         Codec.write_string buf a_header;
-        Pos_tree.encode_proof buf a_upper)
+        Pos_tree.proof_codec.Codec.encode buf a_upper)
     ~decode:(fun r ->
       if Codec.read_bool r then
         let a_header = Codec.read_string r in
-        let a_upper = Pos_tree.decode_proof r in
+        let a_upper = Pos_tree.proof_codec.Codec.decode r in
         Head_inclusion { a_header; a_upper }
       else Same_digest)
     ()
-
-let encode_append_proof = append_proof_codec.Codec.encode
-let decode_append_proof = append_proof_codec.Codec.decode
-let append_proof_size_bytes = append_proof_codec.Codec.size_bytes
 
 let prove_append_only t ~old_block =
   if Int.equal old_block t.latest || old_block < 0 then Same_digest

@@ -153,10 +153,6 @@ type proof = {
 }
 
 val proof_codec : proof Codec.codec
-(** Wire codec; [encode_proof] / [decode_proof] / [proof_size_bytes] below
-    are its fields. *)
-
-val proof_size_bytes : proof -> int
 
 val batch_size_bytes : proof list -> int
 (** Size after deduplicating shared tree chunks — what a server batching
@@ -193,11 +189,6 @@ type batch_proof = {
     flush. *)
 
 val batch_proof_codec : batch_proof Codec.codec
-(** Wire codec; the three functions below are its fields. *)
-
-val batch_proof_size_bytes : batch_proof -> int
-val encode_batch_proof : Buffer.t -> batch_proof -> unit
-val decode_batch_proof : Codec.reader -> batch_proof
 
 val prove_inclusion_batch : t -> Kv.key list -> block:int -> batch_proof
 (** Proof for all [keys] (deduplicated, order-insensitive) in one block.
@@ -222,21 +213,12 @@ val batch_proof_value :
 type append_proof
 
 val append_proof_codec : append_proof Codec.codec
-(** Wire codec; [encode_append_proof] / [decode_append_proof] /
-    [append_proof_size_bytes] are its fields. *)
-
-val append_proof_size_bytes : append_proof -> int
 
 val prove_append_only : t -> old_block:int -> append_proof
 (** Proof that the ledger at [old_block] is a prefix of the current one. *)
 
 val verify_append_only :
   old_digest:digest -> new_digest:digest -> append_proof -> bool
-
-val encode_proof : Buffer.t -> proof -> unit
-val decode_proof : Codec.reader -> proof
-val encode_append_proof : Buffer.t -> append_proof -> unit
-val decode_append_proof : Codec.reader -> append_proof
 
 (* --- verifiable range scans --- *)
 

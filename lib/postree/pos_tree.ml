@@ -576,10 +576,7 @@ let chunk_list_codec : string list Codec.codec =
     ()
 
 let proof_codec : proof Codec.codec = chunk_list_codec
-let proof_size_bytes = proof_codec.Codec.size_bytes
 let proof_chunks p = p
-let encode_proof = proof_codec.Codec.encode
-let decode_proof = proof_codec.Codec.decode
 
 let prove t key =
   let top = Array.length t.levels - 1 in
@@ -626,9 +623,6 @@ let verify ~root ~key ~value proof =
 type multiproof = string list (* distinct serialized chunks, root first *)
 
 let multiproof_codec : multiproof Codec.codec = chunk_list_codec
-let multiproof_size_bytes = multiproof_codec.Codec.size_bytes
-let encode_multiproof = multiproof_codec.Codec.encode
-let decode_multiproof = multiproof_codec.Codec.decode
 
 (* One walk for the whole (sorted, deduplicated) key set: each chunk on any
    covered root-to-leaf path is visited, charged and serialized exactly
@@ -738,9 +732,6 @@ let bindings_range t ~lo ~hi =
 type range_proof = string list (* distinct serialized chunks, root included *)
 
 let range_proof_codec : range_proof Codec.codec = chunk_list_codec
-let range_proof_size_bytes = range_proof_codec.Codec.size_bytes
-let encode_range_proof = range_proof_codec.Codec.encode
-let decode_range_proof = range_proof_codec.Codec.decode
 
 (* Children of an index chunk that may hold keys in [lo, hi): child i covers
    [ikey_i, ikey_{i+1}), except child 0 which also covers anything below its

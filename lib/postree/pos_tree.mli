@@ -48,13 +48,9 @@ type proof
 (** Serialized chunks along the root-to-leaf search path. *)
 
 val proof_codec : proof Codec.codec
-(** Wire codec; the three functions below are its fields.  [size_bytes]
-    charges each chunk plus a fixed 4-byte frame (the modelled RPC
-    framing), not the exact varint encoding. *)
-
-val proof_size_bytes : proof -> int
-val encode_proof : Buffer.t -> proof -> unit
-val decode_proof : Codec.reader -> proof
+(** Wire codec.  Its [size_bytes] charges each chunk plus a fixed 4-byte
+    frame (the modelled RPC framing), not the exact varint encoding; the
+    multiproof and range-proof codecs below do the same. *)
 
 val prove : t -> string -> proof
 (** Proof of the key's presence-with-value or absence. *)
@@ -77,11 +73,6 @@ type multiproof
     keys costs far fewer bytes and hashes than k independent proofs. *)
 
 val multiproof_codec : multiproof Codec.codec
-(** Wire codec; the three functions below are its fields. *)
-
-val multiproof_size_bytes : multiproof -> int
-val encode_multiproof : Buffer.t -> multiproof -> unit
-val decode_multiproof : Codec.reader -> multiproof
 
 val prove_batch : t -> string list -> multiproof * (string * string option) list
 (** One tree walk for the whole key set (deduplicated, sorted internally):
@@ -116,11 +107,6 @@ type range_proof
     server cannot omit entries (completeness) or inject them (soundness). *)
 
 val range_proof_codec : range_proof Codec.codec
-(** Wire codec; the three functions below are its fields. *)
-
-val range_proof_size_bytes : range_proof -> int
-val encode_range_proof : Buffer.t -> range_proof -> unit
-val decode_range_proof : Codec.reader -> range_proof
 
 val prove_range : t -> lo:string -> hi:string -> range_proof
 

@@ -37,9 +37,9 @@ type task_sample = {
 type job_sample = {
   js_pool_size : int;
   js_tasks : int;
-  js_chunk : int;
+  js_chunk : int;     (* items per task, rounded up *)
   js_items : int;
-  js_cost : int;      (* total ~cost units; 0 when no cost hook was given *)
+  js_cost : int;      (* total declared ~cost units *)
   js_span_s : float;  (* publication -> join, on the submitting domain *)
   js_inline : bool;   (* ran serially on the caller (size 1 / tiny input) *)
   js_bypass : bool;   (* inline because total cost < the work threshold *)
@@ -54,7 +54,6 @@ type profiler = {
 
 let profiler : profiler option Atomic.t = Atomic.make None
 let set_profiler p = Atomic.set profiler p
-let profiling () = Option.is_some (Atomic.get profiler)
 
 (* Stable per-domain index for task samples: workers set theirs at spawn,
    every other domain (the submitter) reads the default 0. *)
@@ -79,9 +78,8 @@ let in_task = Domain.DLS.new_key (fun () -> false)
 
 (* Claim and run tasks until the job's counter is exhausted; the domain
    that completes the last task wakes the submitter.  Tasks are claimed
-   in runs of [j.claim] per atomic op, so jobs with many small tasks
-   (e.g. [run] over hundreds of thunks) pay one counter bump per run
-   instead of per task. *)
+   in runs of [j.claim] per atomic op, so jobs with many more tasks than
+   domains pay one counter bump per run instead of per task. *)
 let drain t j =
   let was = Domain.DLS.get in_task in
   Domain.DLS.set in_task true;
@@ -146,8 +144,6 @@ let create psize =
               worker_loop t));
   t
 
-let size t = t.psize
-
 let shutdown t =
   if not t.stopped then begin
     Mutex.lock t.lock;
@@ -183,58 +179,41 @@ type 'b slot =
   | Done of 'b array * Work.task_work
   | Raised of exn * Printexc.raw_backtrace
 
-(* --- small-batch bypass threshold ---
+(* Cost-sized batches below this many units run serially with zero task
+   submissions: for tiny batches the publish/wake/join handshake costs
+   more than the work. *)
+let work_threshold = 65536
 
-   When a [~cost] hook is supplied, jobs whose total cost falls below this
-   threshold skip the pool entirely (zero task submissions): for tiny
-   batches the publish/wake/join handshake costs more than the work.
-   Process-global because it is a host-tuning knob (Config threads it from
-   [pool_work_threshold]), not a per-call policy. *)
-let work_threshold_a = Atomic.make 65536
-
-let set_work_threshold n =
-  if n < 0 then invalid_arg "Pool.set_work_threshold: threshold must be >= 0";
-  Atomic.set work_threshold_a n
-
-let work_threshold () = Atomic.get work_threshold_a
-
-(* The serial execution, verbatim — no captures, no domains, no locks.
-   Under a profiler, a top-level inline map is still timed (that is the
-   whole job at pool size 1); nested inline maps from inside a task only
-   bump atomic counters on the profiler side, since they run concurrently
-   with the submitting domain's bookkeeping. *)
-let inline_map ?(cost_units = 0) ?(bypass = false) t f arr n =
+(* The serial execution of a top-level map, verbatim — no captures, no
+   domains, no locks.  Under a profiler it is still timed: that is the
+   whole job at pool size 1. *)
+let inline_map ~cost_units ~bypass t f arr n =
   match Atomic.get profiler with
   | None -> Array.map f arr
   | Some p ->
-    if Domain.DLS.get in_task then begin
-      p.pr_on_nested_inline n;
-      Array.map f arr
-    end
-    else begin
-      let t0 = p.pr_clock () in
-      let out = Array.map f arr in
-      let dt = p.pr_clock () -. t0 in
-      p.pr_on_job
-        { js_pool_size = t.psize;
-          js_tasks = 1;
-          js_chunk = n;
-          js_items = n;
-          js_cost = cost_units;
-          js_span_s = dt;
-          js_inline = true;
-          js_bypass = bypass;
-          js_samples =
-            [| { ts_domain = Domain.DLS.get domain_index; ts_wait_s = 0.;
-                 ts_run_s = dt; ts_items = n } |] };
-      out
-    end
+    let t0 = p.pr_clock () in
+    let out = Array.map f arr in
+    let dt = p.pr_clock () -. t0 in
+    p.pr_on_job
+      { js_pool_size = t.psize;
+        js_tasks = 1;
+        js_chunk = n;
+        js_items = n;
+        js_cost = cost_units;
+        js_span_s = dt;
+        js_inline = true;
+        js_bypass = bypass;
+        js_samples =
+          [| { ts_domain = Domain.DLS.get domain_index; ts_wait_s = 0.;
+               ts_run_s = dt; ts_items = n } |] };
+    out
 
-(* Shared submit/join path over explicit task bounds: task [k] covers
-   items [bounds.(k) .. bounds.(k+1) - 1].  Both the uniform-chunk and the
-   cost-aware paths land here, so the determinism machinery (submission-
-   order result slots, Work capture/absorb) exists exactly once. *)
-let submit_bounded t f arr n ~bounds ~ntasks ~js_chunk ~cost_units =
+(* Submit/join over explicit task bounds: task [k] covers items
+   [bounds.(k) .. bounds.(k+1) - 1].  Results land in per-task slots and
+   each task's Work is captured on its domain, then absorbed here in
+   submission order. *)
+let submit_bounded t f arr n ~bounds ~cost_units =
+  let ntasks = Array.length bounds - 1 in
   let slots = Array.make ntasks Pending in
   let run_task k =
     let lo = bounds.(k) in
@@ -272,7 +251,7 @@ let submit_bounded t f arr n ~bounds ~ntasks ~js_chunk ~cost_units =
      p.pr_on_job
        { js_pool_size = t.psize;
          js_tasks = ntasks;
-         js_chunk;
+         js_chunk = (n + ntasks - 1) / ntasks;
          js_items = n;
          js_cost = cost_units;
          js_span_s = p.pr_clock () -. t0;
@@ -309,83 +288,56 @@ let submit_bounded t f arr n ~bounds ~ntasks ~js_chunk ~cost_units =
       slots;
     out
 
-let parallel_map ?chunk ?cost t f arr =
-  (match (chunk, cost) with
-   | Some _, Some _ ->
-     invalid_arg "Pool.parallel_map: ~chunk and ~cost are exclusive"
-   | _ -> ());
+let parallel_map ~cost t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
-  else if t.psize = 1 || t.stopped || n < 2 || Domain.DLS.get in_task then
-    match cost with
-    | Some cost_of when not (Domain.DLS.get in_task) ->
-      (* Still charge the declared cost (and classify sub-threshold
-         batches as bypasses) on the serial paths, so the profiler's
-         cost/bypass accounting is pool-size-invariant.  Nested maps
-         skip it: a task's inner map must stay zero-overhead. *)
-      let total = Array.fold_left (fun acc x -> acc + cost_of x) 0 arr in
-      inline_map ~cost_units:total
-        ~bypass:(total < Atomic.get work_threshold_a) t f arr n
-    | _ -> inline_map t f arr n
-  else begin
-    match cost with
-    | None ->
-      let chunk =
-        match chunk with
-        | Some c when c >= 1 -> c
-        | Some _ -> invalid_arg "Pool.parallel_map: chunk must be >= 1"
-        | None -> max 1 (n / (t.psize * 4))
-      in
-      let ntasks = (n + chunk - 1) / chunk in
-      if ntasks < 2 then inline_map t f arr n
-      else begin
-        let bounds =
-          Array.init (ntasks + 1) (fun k -> min n (k * chunk))
-        in
-        submit_bounded t f arr n ~bounds ~ntasks ~js_chunk:chunk
-          ~cost_units:0
-      end
-    | Some cost_of ->
-      (* Cost-aware granularity: size tasks by declared work (e.g. bytes
-         to hash), not item count, so one huge item no longer rides in
-         the same task as a run of tiny ones.  Each task greedily takes
-         items until it holds at least [quantum] cost units. *)
-      let costs = Array.map cost_of arr in
-      let total = Array.fold_left ( + ) 0 costs in
-      let threshold = Atomic.get work_threshold_a in
-      if total < threshold then
-        inline_map ~cost_units:total ~bypass:true t f arr n
-      else begin
-        let quantum = max 1 (max threshold (total / (t.psize * 8))) in
-        let bounds_buf = Array.make (n + 1) 0 in
-        let ntasks = ref 0 in
-        let i = ref 0 in
-        while !i < n do
-          bounds_buf.(!ntasks) <- !i;
-          incr ntasks;
-          let acc = ref 0 in
-          while !i < n && !acc < quantum do
-            acc := !acc + costs.(!i);
-            incr i
-          done
-        done;
-        let ntasks = !ntasks in
-        bounds_buf.(ntasks) <- n;
-        if ntasks < 2 then inline_map ~cost_units:total t f arr n
-        else begin
-          let bounds = Array.sub bounds_buf 0 (ntasks + 1) in
-          submit_bounded t f arr n ~bounds ~ntasks
-            ~js_chunk:((n + ntasks - 1) / ntasks) ~cost_units:total
-        end
-      end
+  else if Domain.DLS.get in_task then begin
+    (* Nested map from inside a task: inline, without consulting the cost
+       hook.  The profiler only counts it, atomically, since it runs
+       concurrently with the submitting domain's bookkeeping. *)
+    (match Atomic.get profiler with
+     | Some p -> p.pr_on_nested_inline n
+     | None -> ());
+    Array.map f arr
   end
-
-let run t thunks =
-  match thunks with
-  | [] -> []
-  | _ ->
-    parallel_map ~chunk:1 t (fun g -> g ()) (Array.of_list thunks)
-    |> Array.to_list
+  else if t.psize = 1 || t.stopped || n < 2 then begin
+    (* Still charge the declared cost (and classify sub-threshold batches
+       as bypasses) on the serial path, so the profiler's cost/bypass
+       accounting is pool-size-invariant. *)
+    let total = Array.fold_left (fun acc x -> acc + cost x) 0 arr in
+    inline_map ~cost_units:total ~bypass:(total < work_threshold) t f arr n
+  end
+  else begin
+    (* Size tasks by declared work (e.g. bytes to hash), not item count, so
+       one huge item does not ride in the same task as a run of tiny ones.
+       Each task greedily takes items until it holds at least [quantum]
+       cost units. *)
+    let costs = Array.map cost arr in
+    let total = Array.fold_left ( + ) 0 costs in
+    if total < work_threshold then
+      inline_map ~cost_units:total ~bypass:true t f arr n
+    else begin
+      let quantum = max work_threshold (total / (t.psize * 8)) in
+      let bounds = Array.make (n + 1) 0 in
+      let ntasks = ref 0 in
+      let i = ref 0 in
+      while !i < n do
+        bounds.(!ntasks) <- !i;
+        incr ntasks;
+        let acc = ref 0 in
+        while !i < n && !acc < quantum do
+          acc := !acc + costs.(!i);
+          incr i
+        done
+      done;
+      let ntasks = !ntasks in
+      bounds.(ntasks) <- n;
+      if ntasks < 2 then inline_map ~cost_units:total ~bypass:false t f arr n
+      else
+        submit_bounded t f arr n ~bounds:(Array.sub bounds 0 (ntasks + 1))
+          ~cost_units:total
+    end
+  end
 
 (* --- the process-global pool --- *)
 
@@ -458,117 +410,7 @@ module Lock = struct
       Mutex.unlock registry_m;
       { lm = Mutex.create (); lstats = Some s }
 
-  (* --- runtime lock-order validation (GLASSDB_LOCKCHECK=1) ---
-
-     The dynamic complement of racecheck's static R002: when enabled,
-     every named-lock acquisition consults the acquiring domain's held
-     set (a DLS stack), records the observed acquires-while-holding edge,
-     and logs a violation when the pair is not sanctioned by the declared
-     order (same-name nesting — e.g. two store shards — is never
-     sanctioned: equal ranks can deadlock pairwise).  Unnamed locks are
-     not tracked; like the profiler, the off path costs one atomic load
-     and allocates nothing extra. *)
-
-  let lockcheck_on =
-    Atomic.make
-      (match Sys.getenv_opt "GLASSDB_LOCKCHECK" with
-       | Some "1" -> true
-       | _ -> false)
-
-  let set_lockcheck b = Atomic.set lockcheck_on b
-  let lockcheck_enabled () = Atomic.get lockcheck_on
-
-  (* Per-domain stack of held named locks, innermost first. *)
-  let held_key : string list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  (* Checker globals, guarded by [lc_m] (sanctioned by this file's D004
-     allow): the declared order, the observed acquisition edges, and the
-     violation log. *)
-  let lc_m = Mutex.create ()
-  let lc_order : string list ref = ref []
-  let lc_edge_seen : (string, unit) Hashtbl.t = Hashtbl.create 16
-  let lc_edges : (string * string) list ref = ref []
-  let lc_violations : string list ref = ref []
-
-  let set_lock_order names =
-    Mutex.lock lc_m;
-    lc_order := names;
-    Mutex.unlock lc_m
-
-  let reset_lockcheck () =
-    Mutex.lock lc_m;
-    Hashtbl.reset lc_edge_seen;
-    lc_edges := [];
-    lc_violations := [];
-    Mutex.unlock lc_m
-
-  let compare_edge (a1, b1) (a2, b2) =
-    match String.compare a1 a2 with
-    | 0 -> String.compare b1 b2
-    | c -> c
-
-  let lockcheck_edges () =
-    Mutex.lock lc_m;
-    let es = !lc_edges in
-    Mutex.unlock lc_m;
-    List.sort compare_edge es
-
-  let lockcheck_violations () =
-    Mutex.lock lc_m;
-    let vs = List.rev !lc_violations in
-    Mutex.unlock lc_m;
-    vs
-
-  let rank order n =
-    let rec go i = function
-      | [] -> None
-      | x :: rest -> if String.equal x n then Some i else go (i + 1) rest
-    in
-    go 0 order
-
-  (* Check + record BEFORE blocking on the mutex, so an order violation
-     is logged even if the acquisition then deadlocks. *)
-  let lockcheck_enter name =
-    let held = Domain.DLS.get held_key in
-    (match !held with
-     | [] -> ()
-     | hs ->
-       Mutex.lock lc_m;
-       let order = !lc_order in
-       List.iter
-         (fun h ->
-           let key = h ^ "\x00" ^ name in
-           if not (Hashtbl.mem lc_edge_seen key) then begin
-             Hashtbl.replace lc_edge_seen key ();
-             lc_edges := (h, name) :: !lc_edges
-           end;
-           let sanctioned =
-             (not (String.equal h name))
-             && (match (rank order h, rank order name) with
-                 | Some rh, Some rn -> rh < rn
-                 | _ -> false)
-           in
-           if not sanctioned then
-             lc_violations :=
-               Printf.sprintf
-                 "lock %S acquired while holding %S (pair not sanctioned \
-                  by the declared order)"
-                 name h
-               :: !lc_violations)
-         hs;
-       Mutex.unlock lc_m);
-    held := name :: !held
-
-  let lockcheck_exit name =
-    let held = Domain.DLS.get held_key in
-    let rec remove = function
-      | [] -> []
-      | x :: rest -> if String.equal x name then rest else x :: remove rest
-    in
-    held := remove !held
-
-  let with_lock_uninstrumented l f =
+  let with_lock l f =
     match (Atomic.get profiler, l.lstats) with
     | Some p, Some s ->
       (* Contention is detected by try_lock: a failed fast path means
@@ -599,18 +441,6 @@ module Lock = struct
     | _ ->
       Mutex.lock l.lm;
       Fun.protect ~finally:(fun () -> Mutex.unlock l.lm) f
-
-  let with_lock l f =
-    if Atomic.get lockcheck_on then begin
-      match l.lstats with
-      | Some s ->
-        lockcheck_enter s.ls_name;
-        Fun.protect
-          ~finally:(fun () -> lockcheck_exit s.ls_name)
-          (fun () -> with_lock_uninstrumented l f)
-      | None -> with_lock_uninstrumented l f
-    end
-    else with_lock_uninstrumented l f
 
   type snapshot = {
     sn_name : string;

@@ -33,47 +33,32 @@ val create : int -> t
     itself executes tasks too).  [size >= 1]; raises [Invalid_argument]
     otherwise. *)
 
-val size : t -> int
-
 val shutdown : t -> unit
 (** Stop and join the workers.  Idempotent.  Subsequent submissions run
     inline. *)
 
-val run : t -> (unit -> 'a) list -> 'a list
-(** Execute the thunks (one task each) and return their results in input
-    order.  If any task raises, the first raise in submission order is
-    re-raised after the join; work of tasks before it is absorbed, work
-    after it is dropped. *)
-
-val parallel_map :
-  ?chunk:int -> ?cost:('a -> int) -> t -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map : cost:('a -> int) -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Map [f] over the array in tasks of consecutive elements.  Element
     results land at their input indices; equal to [Array.map f] including
     {!Work} accounting, at every pool size.
 
-    Granularity is picked one of two ways (the arguments are mutually
-    exclusive; supplying both raises [Invalid_argument]):
-    - [~chunk]: fixed tasks of [chunk] elements (default: input size /
-      4×workers, at least 1) — right when items cost about the same;
-    - [~cost]: per-item work estimate in arbitrary units (canonically
-      bytes to hash).  Tasks greedily take consecutive items until they
-      hold at least a fixed quantum of units ([max threshold (total /
-      8×pool size)]), so a run of tiny items shares a task while a huge
-      item gets its own.  When the batch's total cost falls below the
-      process-wide {!work_threshold}, the pool is bypassed entirely —
-      zero task submissions, serial execution on the caller (reported to
-      the profiler with [js_bypass = true]).
+    [cost] is a per-item work estimate in arbitrary units (canonically
+    bytes to hash); it is called once per element before submission, must
+    be pure and must not depend on pool size.  When the batch's total cost
+    falls below {!work_threshold}, the pool is bypassed entirely — zero
+    task submissions, serial execution on the caller (reported to the
+    profiler with [js_bypass = true]).  Otherwise tasks greedily take
+    consecutive items until they hold at least [max work_threshold (total
+    / 8×pool size)] units, so a run of tiny items shares a task while a
+    huge item gets its own.
 
-    The [cost] hook is called once per element before submission; it must
-    be pure and must not depend on pool size. *)
+    If [f] raises, the first raise in input order is re-raised after the
+    join; work of the tasks before the raising one is absorbed, work after
+    it is dropped.  A map submitted from inside a task runs inline on that
+    task's domain without consulting [cost]. *)
 
-val set_work_threshold : int -> unit
-(** Set the small-batch bypass threshold (cost units; default 65536).
-    [Config.pool_work_threshold] threads this from the deployment
-    description.  [>= 0]; raises [Invalid_argument] otherwise. *)
-
-val work_threshold : unit -> int
-(** Current small-batch bypass threshold. *)
+val work_threshold : int
+(** The small-batch bypass threshold: 65536 cost units. *)
 
 (** {2 The process-global pool}
 
@@ -115,9 +100,9 @@ type task_sample = {
 type job_sample = {
   js_pool_size : int;
   js_tasks : int;
-  js_chunk : int;     (** items per task (average, for cost-sized jobs) *)
+  js_chunk : int;     (** items per task, rounded up *)
   js_items : int;
-  js_cost : int;      (** total declared cost; 0 without a [~cost] hook *)
+  js_cost : int;      (** total declared cost *)
   js_span_s : float;  (** publication -> join *)
   js_inline : bool;   (** ran serially on the caller *)
   js_bypass : bool;   (** inline because total cost < {!work_threshold} *)
@@ -133,8 +118,6 @@ type profiler = {
 val set_profiler : profiler option -> unit
 (** Install (or remove) the process-global profiler.  Not synchronized
     with in-flight jobs: install while the pool is quiescent. *)
-
-val profiling : unit -> bool
 
 (** {2 Locks}
 
@@ -176,35 +159,4 @@ module Lock : sig
   (** Zero every registered lock's counters (the locks themselves are
       untouched). *)
 
-  (** {2 Runtime lock-order validation}
-
-      The dynamic complement of racecheck's static R002 (DESIGN.md §4i).
-      When enabled — [GLASSDB_LOCKCHECK=1] in the environment, or
-      {!set_lockcheck} — every named-lock {!with_lock} records the
-      acquires-while-holding edges it observes against the acquiring
-      domain's held-lock set, and logs a violation when a pair is not
-      sanctioned by the declared order ({!set_lock_order}).  Same-name
-      nesting (two store shards, say) is never sanctioned: equal ranks
-      deadlock pairwise.  Unnamed locks are not tracked.  When disabled
-      the cost is one atomic load per acquisition and no extra
-      allocation, the same pattern as the profiler hook. *)
-
-  val set_lockcheck : bool -> unit
-  val lockcheck_enabled : unit -> bool
-
-  val set_lock_order : string list -> unit
-  (** Declare the sanctioned acquisition order (outermost first), e.g.
-      the [(order ...)] chain from tools/lint/lockorder.sexp.  A lock may
-      be acquired while holding only locks of strictly lower rank.
-      Install while quiescent. *)
-
-  val lockcheck_edges : unit -> (string * string) list
-  (** Distinct observed (held, acquired) pairs, sorted — diffable
-      against the declared order by tests. *)
-
-  val lockcheck_violations : unit -> string list
-  (** Violations in observation order. *)
-
-  val reset_lockcheck : unit -> unit
-  (** Clear observed edges and violations (the declared order is kept). *)
 end

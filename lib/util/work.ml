@@ -147,8 +147,6 @@ type task_work = {
   t_attributed : (string * counters) list;
 }
 
-let task_counters tw = tw.t_counters
-
 let capture f =
   let c = ctx () in
   let saved_cur = c.cur

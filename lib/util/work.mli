@@ -91,6 +91,3 @@ val absorb : task_work -> unit
     table, and the attributed portion counts as nested-scope work of the
     currently open {!with_component} frame (if any) — replicating what a
     serial nested scope would have recorded. *)
-
-val task_counters : task_work -> counters
-(** The raw counters a captured task accrued (for tests/diagnostics). *)

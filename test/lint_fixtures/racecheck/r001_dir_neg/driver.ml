@@ -1,2 +1,4 @@
 let go pool keys =
-  Glassdb_util.Pool.run pool (List.map (fun k () -> Store.put k 0) keys)
+  Glassdb_util.Pool.parallel_map ~cost:String.length pool
+    (fun k -> Store.put k 0)
+    keys

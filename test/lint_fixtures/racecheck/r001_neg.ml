@@ -5,13 +5,12 @@ let table_lock = Glassdb_util.Pool.Lock.create ~name:"fixture.table" ()
 let counter = Atomic.make 0
 
 let record pool keys =
-  Glassdb_util.Pool.run pool
-    (List.map
-       (fun k () ->
-         Atomic.incr counter;
-         Glassdb_util.Pool.Lock.with_lock table_lock (fun () ->
-             Hashtbl.replace table k 1))
-       keys)
+  Glassdb_util.Pool.parallel_map ~cost:String.length pool
+    (fun k ->
+      Atomic.incr counter;
+      Glassdb_util.Pool.Lock.with_lock table_lock (fun () ->
+          Hashtbl.replace table k 1))
+    keys
 
 let size () =
   Glassdb_util.Pool.Lock.with_lock table_lock (fun () -> Hashtbl.length table)

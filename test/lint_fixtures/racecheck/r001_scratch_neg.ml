@@ -5,7 +5,7 @@ let buf : Buffer.t Glassdb_util.Scratch.t =
   Glassdb_util.Scratch.create (fun () -> Buffer.create 256)
 
 let render pool keys =
-  Glassdb_util.Pool.parallel_map pool
+  Glassdb_util.Pool.parallel_map ~cost:(fun _ -> 1) pool
     (fun k ->
       let b = Glassdb_util.Scratch.get buf in
       Buffer.clear b;

@@ -4,5 +4,6 @@
 let table : (string, int) Hashtbl.t = Hashtbl.create 16
 
 let record pool keys =
-  Glassdb_util.Pool.run pool
-    (List.map (fun k () -> Hashtbl.replace table k 1) keys)
+  Glassdb_util.Pool.parallel_map ~cost:String.length pool
+    (fun k -> Hashtbl.replace table k 1)
+    keys

@@ -3,7 +3,7 @@
    read on the submitting domain after the join. *)
 let work pool xs =
   let r =
-    Glassdb_util.Pool.parallel_map pool
+    Glassdb_util.Pool.parallel_map ~cost:(fun _ -> 1) pool
       (fun x ->
         Glassdb_util.Work.note_hash ();
         x + 1)

@@ -4,6 +4,7 @@
 
 module Kv = Txnkit.Kv
 module Error = Glassdb_util.Error
+module Codec = Glassdb_util.Codec
 module Ledger = Glassdb.Ledger
 module Node = Glassdb.Node
 module Cluster = Glassdb.Cluster
@@ -124,9 +125,11 @@ let test_ledger_batch_proof_acceptance () =
        vb.Glassdb_util.Work.hashes vi.Glassdb_util.Work.hashes)
     true
     (vb.Glassdb_util.Work.hashes < vi.Glassdb_util.Work.hashes);
-  let batch_bytes = Ledger.batch_proof_size_bytes bp in
+  let batch_bytes = Ledger.batch_proof_codec.Codec.size_bytes bp in
   let indep_bytes =
-    List.fold_left (fun a p -> a + Ledger.proof_size_bytes p) 0 proofs
+    List.fold_left
+      (fun a p -> a + Ledger.proof_codec.Codec.size_bytes p)
+      0 proofs
   in
   Alcotest.(check bool)
     (Printf.sprintf "batched proof strictly smaller (%d < %d)" batch_bytes
@@ -163,8 +166,8 @@ let test_ledger_batch_proof_acceptance () =
     (Ledger.verify_inclusion_batch ~digest:d tampered);
   (* Codec roundtrip. *)
   let bp' =
-    Glassdb_util.Codec.of_string Ledger.decode_batch_proof
-      (Glassdb_util.Codec.to_string Ledger.encode_batch_proof bp)
+    Codec.decode_of_string Ledger.batch_proof_codec
+      (Codec.encode_to_string Ledger.batch_proof_codec bp)
   in
   Alcotest.(check bool) "codec roundtrip verifies" true
     (Ledger.verify_inclusion_batch ~digest:d bp')
@@ -244,7 +247,6 @@ let test_ledger_append_only_detects_fork () =
 
 (* --- Layered write path (DESIGN.md §4j): staged API --- *)
 
-module Codec = Glassdb_util.Codec
 module Pool = Glassdb_util.Pool
 
 (* Deterministic workload with cross-batch key overlap: [n_batches] batches
@@ -318,16 +320,16 @@ let check_equiv_one ~seed ~width =
   List.iter
     (fun k ->
       Alcotest.(check string) (ctx ("proof bytes for " ^ k))
-        (Codec.to_string Ledger.encode_proof (Ledger.prove_current !a k))
-        (Codec.to_string Ledger.encode_proof (Ledger.prove_current !b k));
+        (Codec.encode_to_string Ledger.proof_codec (Ledger.prove_current !a k))
+        (Codec.encode_to_string Ledger.proof_codec (Ledger.prove_current !b k));
       Alcotest.(check (list (pair string int))) (ctx ("history of " ^ k))
         (Ledger.get_history !a k ~n:20)
         (Ledger.get_history !b k ~n:20))
     [ "key-00"; "key-17"; "key-39" ];
   Alcotest.(check string) (ctx "append-only proof bytes")
-    (Codec.to_string Ledger.encode_append_proof
+    (Codec.encode_to_string Ledger.append_proof_codec
        (Ledger.prove_append_only !a ~old_block:0))
-    (Codec.to_string Ledger.encode_append_proof
+    (Codec.encode_to_string Ledger.append_proof_codec
        (Ledger.prove_append_only !b ~old_block:0))
 
 let test_layered_equivalence_property () =
@@ -450,7 +452,9 @@ let test_folded_block_survives_snapshot_eviction () =
   Alcotest.(check bool) "proof from the rebuilt folded block" true
     (Ledger.verify_inclusion ~digest:d ~key:"k5" ~value:expected p)
 
-let test_proof_codecs_match_legacy () =
+let test_proof_codecs_roundtrip () =
+  (* Each ledger proof codec decodes what it encodes to the same bytes,
+     and charges exactly the encoded length. *)
   let l = ref (mk_ledger ()) in
   for b = 0 to 5 do
     l := Ledger.append_block !l ~time:(float_of_int b)
@@ -458,31 +462,21 @@ let test_proof_codecs_match_legacy () =
             w (Printf.sprintf "ck%d" i) (Printf.sprintf "v%d.%d" b i) "t"))
         ~txns:[]
   done;
-  let p = Ledger.prove_current !l "ck3" in
-  Alcotest.(check string) "proof encode = wrapper"
-    (Codec.to_string Ledger.encode_proof p)
-    (Codec.encode_to_string Ledger.proof_codec p);
-  Alcotest.(check int) "proof size = wrapper"
-    (Ledger.proof_size_bytes p)
-    (Ledger.proof_codec.Codec.size_bytes p);
-  let bytes = Codec.encode_to_string Ledger.proof_codec p in
-  Alcotest.(check string) "proof decode roundtrips" bytes
-    (Codec.encode_to_string Ledger.proof_codec
-       (Codec.decode_of_string Ledger.proof_codec bytes));
-  let bp = Ledger.prove_inclusion_batch !l [ "ck1"; "ck4" ] ~block:5 in
-  Alcotest.(check string) "batch encode = wrapper"
-    (Codec.to_string Ledger.encode_batch_proof bp)
-    (Codec.encode_to_string Ledger.batch_proof_codec bp);
-  Alcotest.(check int) "batch size = wrapper"
-    (Ledger.batch_proof_size_bytes bp)
-    (Ledger.batch_proof_codec.Codec.size_bytes bp);
-  let ap = Ledger.prove_append_only !l ~old_block:2 in
-  Alcotest.(check string) "append encode = wrapper"
-    (Codec.to_string Ledger.encode_append_proof ap)
-    (Codec.encode_to_string Ledger.append_proof_codec ap);
-  Alcotest.(check int) "append size = wrapper"
-    (Ledger.append_proof_size_bytes ap)
-    (Ledger.append_proof_codec.Codec.size_bytes ap)
+  let check : type a. string -> a Codec.codec -> a -> unit =
+   fun name c x ->
+    let bytes = Codec.encode_to_string c x in
+    Alcotest.(check int) (name ^ " size = encoded length")
+      (String.length bytes) (c.Codec.size_bytes x);
+    Alcotest.(check string) (name ^ " decode roundtrips") bytes
+      (Codec.encode_to_string c (Codec.decode_of_string c bytes))
+  in
+  check "proof" Ledger.proof_codec (Ledger.prove_current !l "ck3");
+  check "batch proof" Ledger.batch_proof_codec
+    (Ledger.prove_inclusion_batch !l [ "ck1"; "ck4" ] ~block:5);
+  check "append proof" Ledger.append_proof_codec
+    (Ledger.prove_append_only !l ~old_block:2);
+  check "same-digest append proof" Ledger.append_proof_codec
+    (Ledger.prove_append_only !l ~old_block:5)
 
 (* --- Cluster transactions --- *)
 
@@ -849,6 +843,58 @@ let test_storage_accounting () =
       Alcotest.(check bool) "blocks created" true (Cluster.total_blocks cl > 0);
       Alcotest.(check int) "100 commits" 100 (Cluster.total_commits cl))
 
+(* --- Config validation --- *)
+
+let test_config_rejects_unrunnable_values () =
+  (* A zero persist interval livelocks the persister, a negative one fails
+     inside Sim.sleep, and pattern bits outside 1..20 fail later in
+     Pos_tree.config: all are refused up front. *)
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | (_ : Glassdb.Config.t) -> Alcotest.failf "%s accepted" name
+  in
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "persist_interval %g" v) (fun () ->
+          Glassdb.Config.make ~persist_interval:v ()))
+    [ 0.; -0.; -1. ];
+  List.iter
+    (fun b ->
+      rejects (Printf.sprintf "pattern_bits %d" b) (fun () ->
+          Glassdb.Config.make ~pattern_bits:b ()))
+    [ -1; 0; 21; 25 ]
+
+let test_config_boundary_values_verify () =
+  (* The extreme accepted values keep the promise: every acknowledged
+     write verifies at its promised block. *)
+  List.iter
+    (fun (pattern_bits, persist_interval) ->
+      Sim.run (fun () ->
+          let cl =
+            Cluster.create
+              (Glassdb.Config.make ~shards:2 ~pattern_bits ~persist_interval
+                 ())
+          in
+          Cluster.start cl;
+          let c = Client.create cl ~id:1 ~sk:"k1" in
+          for i = 0 to 19 do
+            match
+              Client.verified_put c (Printf.sprintf "bk%d" i) (string_of_int i)
+            with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "put %d failed: %s" i (Error.to_string e)
+          done;
+          Sim.sleep 0.5;
+          let results = Client.flush_verifications c () in
+          let label = Printf.sprintf "pattern_bits %d" pattern_bits in
+          Alcotest.(check int) (label ^ ": all promises verified") 20
+            (List.fold_left (fun a v -> a + v.Client.v_keys) 0 results);
+          Alcotest.(check bool) (label ^ ": every batch ok") true
+            (List.for_all (fun v -> v.Client.v_ok) results);
+          Cluster.stop cl))
+    [ (1, 1e-3); (20, 0.05) ]
+
 let () =
   Alcotest.run "glassdb"
     [ ("ledger",
@@ -868,8 +914,8 @@ let () =
            test_staged_base_mismatch_rejected;
          Alcotest.test_case "folded block survives eviction" `Quick
            test_folded_block_survives_snapshot_eviction;
-         Alcotest.test_case "proof codecs match legacy" `Quick
-           test_proof_codecs_match_legacy ]);
+         Alcotest.test_case "proof codecs roundtrip" `Quick
+           test_proof_codecs_roundtrip ]);
       ("transactions",
        [ Alcotest.test_case "commit and read" `Quick test_txn_commit_and_read;
          Alcotest.test_case "cross-shard atomicity" `Quick test_txn_cross_shard_atomicity;
@@ -893,4 +939,9 @@ let () =
          Alcotest.test_case "partition heals, retries succeed" `Quick
            test_partition_heals_and_retries_succeed ]);
       ("accounting",
-       [ Alcotest.test_case "storage and commits" `Quick test_storage_accounting ]) ]
+       [ Alcotest.test_case "storage and commits" `Quick test_storage_accounting ]);
+      ("config",
+       [ Alcotest.test_case "unrunnable values rejected" `Quick
+           test_config_rejects_unrunnable_values;
+         Alcotest.test_case "boundary values verify" `Quick
+           test_config_boundary_values_verify ]) ]

@@ -209,49 +209,48 @@ let test_proof_codec_roundtrip () =
   let _, cfg = mk () in
   let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 300) in
   let p = Pos_tree.prove t "key-00123" in
-  let s = Codec.to_string Pos_tree.encode_proof p in
-  let p' = Codec.of_string Pos_tree.decode_proof s in
+  let s = Codec.encode_to_string Pos_tree.proof_codec p in
+  let p' = Codec.decode_of_string Pos_tree.proof_codec s in
   Alcotest.(check bool) "roundtrip verifies" true
     (Pos_tree.verify ~root:(Pos_tree.root_hash t) ~key:"key-00123"
        ~value:(Some "val-123") p');
-  Alcotest.(check bool) "size positive" true (Pos_tree.proof_size_bytes p > 0)
+  Alcotest.(check bool) "size positive" true
+    (Pos_tree.proof_codec.Codec.size_bytes p > 0)
 
-let test_proof_codecs_match_legacy () =
-  (* The first-class codec records and the legacy per-proof function
-     triples must agree byte-for-byte (the triples are the records'
-     fields, but pin the equivalence against regressions). *)
+let test_proof_codecs_wire_format () =
+  (* All three proof kinds share one wire format — a varint-framed list of
+     serialized chunks — and one size model: each chunk plus a fixed
+     4-byte frame.  Decoding and re-encoding is byte-identical. *)
   let _, cfg = mk () in
   let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 300) in
+  let check : type a. string -> a Codec.codec -> a -> unit =
+   fun name c x ->
+    let bytes = Codec.encode_to_string c x in
+    let chunks =
+      Codec.of_string (fun r -> Codec.read_list r Codec.read_string) bytes
+    in
+    Alcotest.(check bool) (name ^ " has chunks") true (chunks <> []);
+    Alcotest.(check int) (name ^ " size model")
+      (List.fold_left (fun acc s -> acc + String.length s + 4) 0 chunks)
+      (c.Codec.size_bytes x);
+    Alcotest.(check string) (name ^ " decode roundtrips") bytes
+      (Codec.encode_to_string c (Codec.decode_of_string c bytes))
+  in
   let p = Pos_tree.prove t "key-00042" in
-  Alcotest.(check string) "proof encode = wrapper"
-    (Codec.to_string Pos_tree.encode_proof p)
-    (Codec.encode_to_string Pos_tree.proof_codec p);
-  Alcotest.(check int) "proof size = wrapper"
-    (Pos_tree.proof_size_bytes p)
-    (Pos_tree.proof_codec.Codec.size_bytes p);
+  check "proof" Pos_tree.proof_codec p;
+  Alcotest.(check (list string)) "proof chunks on the wire"
+    (Pos_tree.proof_chunks p)
+    (Codec.of_string
+       (fun r -> Codec.read_list r Codec.read_string)
+       (Codec.encode_to_string Pos_tree.proof_codec p));
   let mp, _ = Pos_tree.prove_batch t [ "key-00001"; "key-00200"; "absent" ] in
-  Alcotest.(check string) "multiproof encode = wrapper"
-    (Codec.to_string Pos_tree.encode_multiproof mp)
-    (Codec.encode_to_string Pos_tree.multiproof_codec mp);
-  Alcotest.(check int) "multiproof size = wrapper"
-    (Pos_tree.multiproof_size_bytes mp)
-    (Pos_tree.multiproof_codec.Codec.size_bytes mp);
-  let rp = Pos_tree.prove_range t ~lo:"key-00100" ~hi:"key-00150" in
-  Alcotest.(check string) "range encode = wrapper"
-    (Codec.to_string Pos_tree.encode_range_proof rp)
-    (Codec.encode_to_string Pos_tree.range_proof_codec rp);
-  Alcotest.(check int) "range size = wrapper"
-    (Pos_tree.range_proof_size_bytes rp)
-    (Pos_tree.range_proof_codec.Codec.size_bytes rp);
-  (* decode field roundtrips through the record too *)
-  let bytes = Codec.encode_to_string Pos_tree.proof_codec p in
-  Alcotest.(check string) "proof decode roundtrips" bytes
-    (Codec.encode_to_string Pos_tree.proof_codec
-       (Codec.decode_of_string Pos_tree.proof_codec bytes))
+  check "multiproof" Pos_tree.multiproof_codec mp;
+  check "range proof" Pos_tree.range_proof_codec
+    (Pos_tree.prove_range t ~lo:"key-00100" ~hi:"key-00150")
 
 let proof_of_strings l =
   (* Forge a proof through the public codec, as a malicious server would. *)
-  Codec.of_string Pos_tree.decode_proof
+  Codec.decode_of_string Pos_tree.proof_codec
     (Codec.to_string (fun b -> Codec.write_list b Codec.write_string) l)
 
 let test_proof_garbage_rejected () =
@@ -270,8 +269,9 @@ let test_proof_size_scales_logarithmically () =
   let small = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 100) in
   let _, cfg2 = mk ~pattern_bits:4 () in
   let large = Pos_tree.insert_batch (Pos_tree.empty cfg2) (kvs_of 10_000) in
-  let ps = Pos_tree.proof_size_bytes (Pos_tree.prove small "key-00050") in
-  let pl = Pos_tree.proof_size_bytes (Pos_tree.prove large "key-00050") in
+  let size = Pos_tree.proof_codec.Codec.size_bytes in
+  let ps = size (Pos_tree.prove small "key-00050") in
+  let pl = size (Pos_tree.prove large "key-00050") in
   (* 100x more keys should cost far less than 100x proof bytes. *)
   Alcotest.(check bool) "sub-linear growth" true (pl < 20 * ps)
 
@@ -294,12 +294,12 @@ let prop_proofs_verify =
 let strings_of_multiproof mp =
   Codec.of_string
     (fun r -> Codec.read_list r Codec.read_string)
-    (Codec.to_string Pos_tree.encode_multiproof mp)
+    (Codec.encode_to_string Pos_tree.multiproof_codec mp)
 
 let multiproof_of_strings l =
   (* Forge a multiproof through the public codec, as a malicious server
      would. *)
-  Codec.of_string Pos_tree.decode_multiproof
+  Codec.decode_of_string Pos_tree.multiproof_codec
     (Codec.to_string (fun b -> Codec.write_list b Codec.write_string) l)
 
 let test_multiproof_roundtrip () =
@@ -321,13 +321,13 @@ let test_multiproof_roundtrip () =
     items;
   Alcotest.(check bool) "verifies" true (Pos_tree.verify_batch ~root ~items mp);
   let mp' =
-    Codec.of_string Pos_tree.decode_multiproof
-      (Codec.to_string Pos_tree.encode_multiproof mp)
+    Codec.decode_of_string Pos_tree.multiproof_codec
+      (Codec.encode_to_string Pos_tree.multiproof_codec mp)
   in
   Alcotest.(check bool) "verifies after codec roundtrip" true
     (Pos_tree.verify_batch ~root ~items mp');
   Alcotest.(check bool) "size positive" true
-    (Pos_tree.multiproof_size_bytes mp > 0)
+    (Pos_tree.multiproof_codec.Codec.size_bytes mp > 0)
 
 let test_multiproof_adversarial () =
   let _, cfg = mk () in
@@ -408,10 +408,12 @@ let test_multiproof_cheaper_than_independent () =
     (vb.Work.hashes < vi.Work.hashes);
   (* Bytes: the deduplicated chunk set is strictly smaller on the wire. *)
   let independent_bytes =
-    List.fold_left (fun a p -> a + Pos_tree.proof_size_bytes p) 0 proofs
+    List.fold_left
+      (fun a p -> a + Pos_tree.proof_codec.Codec.size_bytes p)
+      0 proofs
   in
   Alcotest.(check bool) "batched proof strictly smaller" true
-    (Pos_tree.multiproof_size_bytes mp < independent_bytes)
+    (Pos_tree.multiproof_codec.Codec.size_bytes mp < independent_bytes)
 
 let prop_multiproof_model =
   QCheck.Test.make ~name:"multiproofs verify for random maps and key sets"
@@ -579,7 +581,7 @@ let test_pool_size_invariance () =
     let t2 = Pos_tree.insert_batch t1 upd in
     let mp, items = Pos_tree.prove_batch t2 keys in
     let buf = Buffer.create 4096 in
-    Pos_tree.encode_multiproof buf mp;
+    Pos_tree.multiproof_codec.Codec.encode buf mp;
     List.iter
       (fun (k, v) ->
         Buffer.add_string buf k;
@@ -652,8 +654,8 @@ let () =
        [ Alcotest.test_case "presence and absence" `Quick test_proofs_presence_absence;
          Alcotest.test_case "stale snapshot rejected" `Quick test_proof_stale_snapshot_rejected_on_new_root;
          Alcotest.test_case "codec roundtrip" `Quick test_proof_codec_roundtrip;
-         Alcotest.test_case "codec records match legacy" `Quick
-           test_proof_codecs_match_legacy;
+         Alcotest.test_case "codecs pin the wire format" `Quick
+           test_proof_codecs_wire_format;
          Alcotest.test_case "garbage rejected" `Quick test_proof_garbage_rejected;
          Alcotest.test_case "size logarithmic" `Quick test_proof_size_scales_logarithmically ]
        @ qsuite [ prop_proofs_verify ]) ]

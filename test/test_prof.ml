@@ -23,8 +23,14 @@ let with_prof ?clock f =
 
 let work_arr = Array.init 4096 (fun i -> i)
 
+(* One threshold's worth of declared cost per item: well above the bypass,
+   so every pool size > 1 takes the parallel path. *)
 let run_job () =
-  Pool.parallel_map (Pool.global ()) (fun x -> (x * 7919) land 0xffff) work_arr
+  Pool.parallel_map
+    ~cost:(fun _ -> Pool.work_threshold)
+    (Pool.global ())
+    (fun x -> (x * 7919) land 0xffff)
+    work_arr
 
 (* --- disabled mode: no hooks fire, outputs identical --- *)
 

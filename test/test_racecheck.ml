@@ -1,11 +1,8 @@
 (* glassdb-racecheck test suite: every rule's positive / negative /
    suppressed fixture (including multi-module directory fixtures), the
-   lockorder.sexp parser, JSON round-trip and byte stability of the
-   canonical report, and the runtime lock-order validator in Pool.Lock —
-   unit nesting, a seeded multi-domain stress run with deliberately
-   inverted acquisitions, and the off-path cost contract. *)
-
-open Glassdb_util
+   lockorder.sexp parser, the R002 nesting hazards (inverted, same-name,
+   unranked, and a cycle closed through a call), and JSON round-trip and
+   byte stability of the canonical report. *)
 
 let fixture_dir = Filename.concat "lint_fixtures" "racecheck"
 
@@ -118,6 +115,92 @@ let test_lockorder_cycle () =
     (fun () ->
       ignore (Racecheck_engine.lockorder_of_source "(order (a b))\n(order (b a))\n"))
 
+(* --- R002 nesting: each lock-order hazard the analyzer must catch,
+   analysed from inline sources against the fixture order
+   (fixture.a before fixture.b) --- *)
+
+let lock_prelude =
+  "module Lock = Glassdb_util.Pool.Lock\n\
+   let la = Lock.create ~name:\"fixture.a\" ()\n\
+   let lb = Lock.create ~name:\"fixture.b\" ()\n"
+
+let r002_findings body =
+  let lockorder =
+    Racecheck_engine.load_lockorder (Filename.concat fixture_dir "lockorder.sexp")
+  in
+  let a =
+    Racecheck_engine.analyze ~lockorder
+      [ { Racecheck_engine.s_shown = "nesting.ml"; s_src = lock_prelude ^ body;
+          s_mli = None } ]
+  in
+  List.filter_map
+    (fun f ->
+      if String.equal f.Lint_engine.f_rule "R002" then
+        Some f.Lint_engine.f_msg
+      else None)
+    a.Racecheck_engine.a_report.Lint_engine.r_findings
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s
+    && (String.equal (String.sub s i n) sub || go (i + 1))
+  in
+  go 0
+
+let check_one_finding label ~mentions msgs =
+  match msgs with
+  | [ m ] ->
+    List.iter
+      (fun sub ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S mentions %S" label m sub)
+          true (contains m sub))
+      mentions
+  | _ ->
+    Alcotest.failf "%s: expected one R002 finding, got %d" label
+      (List.length msgs)
+
+let test_nesting_sanctioned () =
+  Alcotest.(check (list string)) "declared order is silent" []
+    (r002_findings
+       "let f () = Lock.with_lock la (fun () -> Lock.with_lock lb (fun () -> ()))\n")
+
+let test_nesting_inverted () =
+  check_one_finding "inverted pair"
+    ~mentions:[ "fixture.a"; "fixture.b"; "not sanctioned" ]
+    (r002_findings
+       "let f () = Lock.with_lock lb (fun () -> Lock.with_lock la (fun () -> ()))\n")
+
+let test_nesting_same_name () =
+  (* Two distinct locks sharing a name (e.g. per-shard locks): equal ranks
+     deadlock pairwise, so same-name nesting is never sanctioned. *)
+  check_one_finding "same-name pair" ~mentions:[ "fixture.a"; "self-deadlock" ]
+    (r002_findings
+       "let la2 = Lock.create ~name:\"fixture.a\" ()\n\
+        let f () = Lock.with_lock la (fun () -> Lock.with_lock la2 (fun () -> ()))\n")
+
+let test_nesting_unranked () =
+  (* A lock absent from the declared order is never sanctioned under
+     another. *)
+  check_one_finding "unranked lock"
+    ~mentions:[ "fixture.unranked"; "fixture.a" ]
+    (r002_findings
+       "let lx = Lock.create ~name:\"fixture.unranked\" ()\n\
+        let f () = Lock.with_lock la (fun () -> Lock.with_lock lx (fun () -> ()))\n")
+
+let test_nesting_cycle_through_call () =
+  (* The inverted acquisition sits in a helper reached while fixture.b is
+     held, and another path takes the pair in declared order: the
+     may-hold fixpoint carries the held lock across the call and the
+     report names the resulting acquisition cycle. *)
+  check_one_finding "cycle through a call"
+    ~mentions:[ "fixture.a"; "fixture.b"; "acquisition cycle" ]
+    (r002_findings
+       "let take_a () = Lock.with_lock la (fun () -> ())\n\
+        let right () = Lock.with_lock la (fun () -> Lock.with_lock lb (fun () -> ()))\n\
+        let wrong () = Lock.with_lock lb (fun () -> take_a ())\n")
+
 (* --- JSON: canonical report round-trip and byte stability --- *)
 
 let test_json_roundtrip () =
@@ -139,133 +222,6 @@ let test_json_stable () =
   in
   Alcotest.(check string) "byte-identical across runs" (run ()) (run ())
 
-(* --- runtime lock-order validator --- *)
-
-let with_lockcheck order f =
-  Pool.Lock.set_lock_order order;
-  Pool.Lock.set_lockcheck true;
-  Pool.Lock.reset_lockcheck ();
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.Lock.set_lockcheck false;
-      Pool.Lock.reset_lockcheck ();
-      Pool.Lock.set_lock_order [])
-    f
-
-let test_validator_sanctioned () =
-  let la = Pool.Lock.create ~name:"fixture.a" () in
-  let lb = Pool.Lock.create ~name:"fixture.b" () in
-  with_lockcheck [ "fixture.a"; "fixture.b" ] (fun () ->
-      Pool.Lock.with_lock la (fun () ->
-          Pool.Lock.with_lock lb (fun () -> ()));
-      Alcotest.(check (list string)) "no violations" []
-        (Pool.Lock.lockcheck_violations ());
-      Alcotest.(check (list (pair string string)))
-        "observed edge recorded"
-        [ ("fixture.a", "fixture.b") ]
-        (Pool.Lock.lockcheck_edges ()))
-
-let test_validator_inverted () =
-  let la = Pool.Lock.create ~name:"fixture.a" () in
-  let lb = Pool.Lock.create ~name:"fixture.b" () in
-  with_lockcheck [ "fixture.a"; "fixture.b" ] (fun () ->
-      Pool.Lock.with_lock lb (fun () ->
-          Pool.Lock.with_lock la (fun () -> ()));
-      Alcotest.(check int) "one violation" 1
-        (List.length (Pool.Lock.lockcheck_violations ()));
-      Alcotest.(check (list (pair string string)))
-        "inverted edge recorded"
-        [ ("fixture.b", "fixture.a") ]
-        (Pool.Lock.lockcheck_edges ()))
-
-let test_validator_same_name () =
-  (* Two distinct shard locks sharing a name: equal ranks deadlock
-     pairwise, so same-name nesting is never sanctioned. *)
-  let s1 = Pool.Lock.create ~name:"fixture.shard" () in
-  let s2 = Pool.Lock.create ~name:"fixture.shard" () in
-  with_lockcheck [ "fixture.shard" ] (fun () ->
-      Pool.Lock.with_lock s1 (fun () ->
-          Pool.Lock.with_lock s2 (fun () -> ()));
-      Alcotest.(check int) "same-name nesting flagged" 1
-        (List.length (Pool.Lock.lockcheck_violations ())))
-
-let test_validator_unranked () =
-  (* A lock absent from the declared order is never sanctioned under
-     another. *)
-  let la = Pool.Lock.create ~name:"fixture.a" () in
-  let lx = Pool.Lock.create ~name:"fixture.unranked" () in
-  with_lockcheck [ "fixture.a"; "fixture.b" ] (fun () ->
-      Pool.Lock.with_lock la (fun () ->
-          Pool.Lock.with_lock lx (fun () -> ()));
-      Alcotest.(check int) "unranked acquisition flagged" 1
-        (List.length (Pool.Lock.lockcheck_violations ())))
-
-let test_validator_stress () =
-  (* Seeded multi-domain stress: half the tasks nest against the declared
-     order, from several domains at once.  Each task gets its own lock
-     *instances* (violations are detected by name, through the per-domain
-     held set), so the inverted name-pair is observed on every domain
-     without manufacturing a real AB-BA deadlock in the test.  The
-     validator must log every inversion; edge recording is deduplicated
-     so the observed graph stays diffable. *)
-  let p = Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
-      with_lockcheck [ "fixture.a"; "fixture.b" ] (fun () ->
-          let tasks =
-            List.init 64 (fun i () ->
-                let la = Pool.Lock.create ~name:"fixture.a" () in
-                let lb = Pool.Lock.create ~name:"fixture.b" () in
-                if i mod 2 = 0 then
-                  Pool.Lock.with_lock la (fun () ->
-                      Pool.Lock.with_lock lb (fun () -> i))
-                else
-                  Pool.Lock.with_lock lb (fun () ->
-                      Pool.Lock.with_lock la (fun () -> i)))
-          in
-          let results = Pool.run p tasks in
-          Alcotest.(check int) "all tasks ran" 64 (List.length results);
-          Alcotest.(check (list (pair string string)))
-            "both edges observed, deduped"
-            [ ("fixture.a", "fixture.b"); ("fixture.b", "fixture.a") ]
-            (Pool.Lock.lockcheck_edges ());
-          Alcotest.(check int) "every inverted nesting logged" 32
-            (List.length (Pool.Lock.lockcheck_violations ()));
-          List.iter
-            (fun v ->
-              Alcotest.(check bool) "violation names the pair" true
-                (let has s sub =
-                   let n = String.length sub in
-                   let rec go i =
-                     i + n <= String.length s
-                     && (String.equal (String.sub s i n) sub || go (i + 1))
-                   in
-                   go 0
-                 in
-                 has v "fixture.a" && has v "fixture.b"))
-            (Pool.Lock.lockcheck_violations ())))
-
-let test_validator_off_cost () =
-  (* Contract: disabled, the validator adds one atomic load and no
-     allocation to with_lock.  with_lock's own baseline is ~8 minor words
-     per acquisition (the Fun.protect unlock closure), so the budget sits
-     just above it: any off-path checker allocation (the DLS held-list
-     and edge records are on-path only when enabled) would push past
-     it. *)
-  Alcotest.(check bool) "checker is off" false (Pool.Lock.lockcheck_enabled ());
-  let l = Pool.Lock.create ~name:"fixture.off" () in
-  let body = fun () -> () in
-  let iters = 10_000 in
-  (* Warm up so any one-time allocation is off the measured path. *)
-  for _ = 1 to 100 do Pool.Lock.with_lock l body done;
-  let before = Gc.minor_words () in
-  for _ = 1 to iters do Pool.Lock.with_lock l body done;
-  let per_call = (Gc.minor_words () -. before) /. float_of_int iters in
-  Alcotest.(check bool)
-    (Printf.sprintf "off-path allocation per acquisition (%.2f words)" per_call)
-    true (per_call < 12.0);
-  Alcotest.(check (list (pair string string))) "off path records nothing" []
-    (Pool.Lock.lockcheck_edges ())
-
 let () =
   Alcotest.run "racecheck"
     [ ( "fixtures",
@@ -279,17 +235,17 @@ let () =
         [ Alcotest.test_case "transitive closure" `Quick test_lockorder_closure;
           Alcotest.test_case "declared cycle rejected" `Quick
             test_lockorder_cycle ] );
+      ( "nesting",
+        [ Alcotest.test_case "sanctioned nesting silent" `Quick
+            test_nesting_sanctioned;
+          Alcotest.test_case "inverted nesting flagged" `Quick
+            test_nesting_inverted;
+          Alcotest.test_case "same-name nesting flagged" `Quick
+            test_nesting_same_name;
+          Alcotest.test_case "unranked lock flagged" `Quick
+            test_nesting_unranked;
+          Alcotest.test_case "cycle through a call flagged" `Quick
+            test_nesting_cycle_through_call ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
-          Alcotest.test_case "stable across runs" `Quick test_json_stable ] );
-      ( "validator",
-        [ Alcotest.test_case "sanctioned nesting silent" `Quick
-            test_validator_sanctioned;
-          Alcotest.test_case "inverted nesting flagged" `Quick
-            test_validator_inverted;
-          Alcotest.test_case "same-name nesting flagged" `Quick
-            test_validator_same_name;
-          Alcotest.test_case "unranked lock flagged" `Quick
-            test_validator_unranked;
-          Alcotest.test_case "multi-domain stress" `Quick test_validator_stress;
-          Alcotest.test_case "off-path cost" `Quick test_validator_off_cost ] ) ]
+          Alcotest.test_case "stable across runs" `Quick test_json_stable ] ) ]

@@ -91,8 +91,8 @@ let test_ledger_proof_codec_roundtrip_and_garbage () =
   done;
   let d = Ledger.digest !l in
   let p = Ledger.prove_current !l "k3" in
-  let bytes = Codec.to_string Ledger.encode_proof p in
-  let p' = Codec.of_string Ledger.decode_proof bytes in
+  let bytes = Codec.encode_to_string Ledger.proof_codec p in
+  let p' = Codec.decode_of_string Ledger.proof_codec bytes in
   Alcotest.(check bool) "roundtripped proof verifies" true
     (Ledger.verify_current ~digest:d ~key:"k3" ~value:(Some "v9.3") p');
   (* Bit-flip every 13th byte and require decode failure or verify failure. *)
@@ -103,7 +103,7 @@ let test_ledger_proof_codec_roundtrip_and_garbage () =
   in
   let i = ref 1 in
   while !i < String.length bytes do
-    (match Codec.of_string Ledger.decode_proof (corrupt !i) with
+    (match Codec.decode_of_string Ledger.proof_codec (corrupt !i) with
      | exception _ -> ()
      | pc ->
        if Ledger.verify_current ~digest:d ~key:"k3" ~value:(Some "v9.3") pc
@@ -111,11 +111,11 @@ let test_ledger_proof_codec_roundtrip_and_garbage () =
     i := !i + 13
   done;
   let ap = Ledger.prove_append_only !l ~old_block:4 in
-  let ap_bytes = Codec.to_string Ledger.encode_append_proof ap in
-  let ap' = Codec.of_string Ledger.decode_append_proof ap_bytes in
+  let ap_bytes = Codec.encode_to_string Ledger.append_proof_codec ap in
+  let ap' = Codec.decode_of_string Ledger.append_proof_codec ap_bytes in
   Alcotest.(check int) "append proof size stable"
-    (Ledger.append_proof_size_bytes ap)
-    (Ledger.append_proof_size_bytes ap')
+    (Ledger.append_proof_codec.Codec.size_bytes ap)
+    (Ledger.append_proof_codec.Codec.size_bytes ap')
 
 let test_ledger_batch_proof_dedup () =
   let l = ref (Ledger.create (Ledger.config (Storage.Node_store.create ()))) in
@@ -133,7 +133,9 @@ let test_ledger_batch_proof_dedup () =
     List.init 10 (fun i -> Ledger.prove_current !l (Printf.sprintf "key-%03d" i))
   in
   let separate =
-    List.fold_left (fun a p -> a + Ledger.proof_size_bytes p) 0 proofs
+    List.fold_left
+      (fun a p -> a + Ledger.proof_codec.Codec.size_bytes p)
+      0 proofs
   in
   let batched = Ledger.batch_size_bytes proofs in
   Alcotest.(check bool) "batching shares chunks" true (batched < separate / 2)

@@ -454,91 +454,117 @@ let with_pool n f =
   let p = Pool.create n in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
+(* One threshold's worth of declared cost per item: any batch of two or
+   more items clears the bypass, so sizes > 1 take the parallel path. *)
+let heavy _ = Pool.work_threshold
+
+(* Run [g] with a profiler that keeps the last top-level job sample, to
+   observe how the pool sized (or bypassed) a map. *)
+let with_job_sample g =
+  let last = ref None in
+  Pool.set_profiler
+    (Some
+       { Pool.pr_clock = (fun () -> 0.);
+         pr_on_job = (fun j -> last := Some j);
+         pr_on_nested_inline = ignore });
+  let r = Fun.protect ~finally:(fun () -> Pool.set_profiler None) g in
+  match !last with
+  | Some j -> (r, j)
+  | None -> Alcotest.fail "no job sample reported"
+
 let test_pool_map_matches_serial () =
+  (* Cost shapes that give one item per task, a run of cheap items
+     sharing a task next to a huge one with its own, irregular task
+     sizes, and a whole-batch bypass. *)
   let input = Array.init 101 (fun i -> i) in
   let f i = i * i in
   let expected = Array.map f input in
+  let costs =
+    [ ("uniform", heavy);
+      ("one huge item",
+       fun i -> if i = 50 then 100 * Pool.work_threshold else 100);
+      ("irregular", fun i -> i * 7919 mod (2 * Pool.work_threshold));
+      ("free", fun _ -> 0) ]
+  in
   List.iter
     (fun n ->
       with_pool n (fun p ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "size %d" n)
-            expected
-            (Pool.parallel_map p f input)))
-    [ 1; 2; 4 ];
-  (* Explicit chunk sizes, including ones that do not divide the input. *)
-  with_pool 4 (fun p ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "chunk %d" chunk)
-            expected
-            (Pool.parallel_map ~chunk p f input))
-        [ 1; 7; 100; 1000 ])
+          List.iter
+            (fun (name, cost) ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "size %d, %s" n name)
+                expected
+                (Pool.parallel_map ~cost p f input))
+            costs))
+    [ 1; 2; 4 ]
 
 let test_pool_cost_map () =
-  (* Cost-aware granularity: results and Work accounting must equal the
-     serial map at every pool size and threshold — whether the batch
-     splits by quantum, lands in one task, or bypasses the pool. *)
+  (* Results and Work accounting equal the serial map at every pool size
+     for batches whose total cost straddles the constant threshold: just
+     below it the pool is bypassed, just above it the batch fits one task
+     (inline, not a bypass), and at twice the threshold it splits. *)
   let input = Array.init 101 (fun i -> String.make (i * 13 mod 64) 'x') in
   let f s =
     ignore (Hash.of_string s);
     String.length s
   in
   let expected, serial_work = Work.measure (fun () -> Array.map f input) in
-  let saved = Pool.work_threshold () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_work_threshold saved)
-    (fun () ->
+  let per_item = (Pool.work_threshold / Array.length input) + 1 in
+  let cases =
+    (* (per-item cost, bypass, tasks at sizes > 1) *)
+    [ (per_item - 1, true, 1); (per_item, false, 1); (2 * per_item, false, 2) ]
+  in
+  List.iter
+    (fun (c, bypass, tasks) ->
       List.iter
-        (fun threshold ->
-          Pool.set_work_threshold threshold;
-          List.iter
-            (fun n ->
-              with_pool n (fun p ->
-                  let got, work =
+        (fun n ->
+          with_pool n (fun p ->
+              let (got, work), j =
+                with_job_sample (fun () ->
                     Work.measure (fun () ->
-                        Pool.parallel_map ~cost:String.length p f input)
-                  in
-                  Alcotest.(check (array int))
-                    (Printf.sprintf "size %d threshold %d" n threshold)
-                    expected got;
-                  Alcotest.(check int)
-                    (Printf.sprintf "hashes at size %d threshold %d" n
-                       threshold)
-                    serial_work.Work.hashes work.Work.hashes))
-            [ 1; 2; 4 ])
-        [ 0; 64; 1_000_000 ]);
-  Alcotest.check_raises "chunk and cost are exclusive"
-    (Invalid_argument "Pool.parallel_map: ~chunk and ~cost are exclusive")
-    (fun () ->
-      with_pool 2 (fun p ->
-          ignore (Pool.parallel_map ~chunk:1 ~cost:String.length p f input)))
+                        Pool.parallel_map ~cost:(fun _ -> c) p f input))
+              in
+              let label = Printf.sprintf "size %d, cost %d" n c in
+              Alcotest.(check (array int)) label expected got;
+              Alcotest.(check int) ("hashes at " ^ label)
+                serial_work.Work.hashes work.Work.hashes;
+              Alcotest.(check int) ("declared cost at " ^ label)
+                (c * Array.length input) j.Pool.js_cost;
+              Alcotest.(check bool) ("bypass at " ^ label) bypass
+                j.Pool.js_bypass;
+              Alcotest.(check int) ("tasks at " ^ label)
+                (if n = 1 then 1 else tasks)
+                j.Pool.js_tasks))
+        [ 1; 2; 4 ])
+    cases
 
-let test_pool_run_claim_batching () =
+let test_pool_claim_batching () =
   (* Many more tasks than domains: drain claims runs of tasks per atomic
      op, and results must still come back in submission order. *)
   with_pool 4 (fun p ->
-      let n = 200 in
-      Alcotest.(check (list int))
-        "claimed runs preserve order"
-        (List.init n Fun.id)
-        (Pool.run p (List.init n (fun i () -> i))))
+      let n = 320 in
+      let got, j =
+        with_job_sample (fun () ->
+            Pool.parallel_map ~cost:heavy p Fun.id (Array.init n Fun.id))
+      in
+      Alcotest.(check int) "32 tasks: claimed in runs of 2" 32 j.Pool.js_tasks;
+      Alcotest.(check (array int)) "claimed runs preserve order"
+        (Array.init n Fun.id) got)
 
-let test_pool_run_order () =
+let test_pool_map_order () =
   with_pool 4 (fun p ->
-      Alcotest.(check (list string))
+      Alcotest.(check (array string))
         "results in submission order"
-        [ "a"; "b"; "c"; "d"; "e" ]
-        (Pool.run p
-           (List.map (fun s () -> s) [ "a"; "b"; "c"; "d"; "e" ])))
+        [| "a"; "b"; "c"; "d"; "e" |]
+        (Pool.parallel_map ~cost:heavy p Fun.id
+           [| "a"; "b"; "c"; "d"; "e" |]))
 
 let test_pool_exception () =
   with_pool 2 (fun p ->
       Alcotest.check_raises "first submission-order raise wins"
         (Invalid_argument "task 3") (fun () ->
           ignore
-            (Pool.parallel_map ~chunk:1 p
+            (Pool.parallel_map ~cost:heavy p
                (fun i ->
                  if i >= 3 then invalid_arg (Printf.sprintf "task %d" i);
                  i)
@@ -560,7 +586,7 @@ let test_pool_work_merge () =
     (fun n ->
       with_pool n (fun p ->
           let got, work =
-            Work.measure (fun () -> Pool.parallel_map p body input)
+            Work.measure (fun () -> Pool.parallel_map ~cost:heavy p body input)
           in
           Alcotest.(check (array int))
             (Printf.sprintf "values at size %d" n)
@@ -591,7 +617,7 @@ let test_pool_attribution_merge () =
   in
   with_pool 4 (fun p ->
       Work.set_attribution true;
-      ignore (Pool.parallel_map p body input);
+      ignore (Pool.parallel_map ~cost:heavy p body input);
       let got = Work.attribution () in
       Work.set_attribution false;
       Work.reset_attribution ();
@@ -604,13 +630,17 @@ let test_pool_attribution_merge () =
 
 let test_pool_nested_inline () =
   (* A task that itself calls parallel_map must not deadlock: nested
-     submissions run inline on the task's domain. *)
+     submissions run inline on the task's domain, without consulting
+     their cost hook. *)
   with_pool 2 (fun p ->
       let got =
-        Pool.parallel_map ~chunk:1 p
+        Pool.parallel_map ~cost:heavy p
           (fun i ->
             Array.fold_left ( + ) 0
-              (Pool.parallel_map ~chunk:1 p (fun j -> i + j)
+              (Pool.parallel_map
+                 ~cost:(fun _ -> failwith "nested cost consulted")
+                 p
+                 (fun j -> i + j)
                  (Array.init 4 (fun j -> j))))
           (Array.init 6 (fun i -> i))
       in
@@ -622,8 +652,8 @@ let test_pool_shutdown_inline () =
   let p = Pool.create 2 in
   Pool.shutdown p;
   Pool.shutdown p;
-  Alcotest.(check (list int)) "after shutdown runs inline" [ 1; 2 ]
-    (Pool.run p [ (fun () -> 1); (fun () -> 2) ])
+  Alcotest.(check (array int)) "after shutdown runs inline" [| 1; 2 |]
+    (Pool.parallel_map ~cost:heavy p Fun.id [| 1; 2 |])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -683,8 +713,8 @@ let () =
          Alcotest.test_case "cost-aware map matches serial" `Quick
            test_pool_cost_map;
          Alcotest.test_case "claim batching preserves order" `Quick
-           test_pool_run_claim_batching;
-         Alcotest.test_case "run preserves order" `Quick test_pool_run_order;
+           test_pool_claim_batching;
+         Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
          Alcotest.test_case "exception propagation" `Quick test_pool_exception;
          Alcotest.test_case "work counter merge" `Quick test_pool_work_merge;
          Alcotest.test_case "attribution merge" `Quick test_pool_attribution_merge;

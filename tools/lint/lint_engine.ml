@@ -190,7 +190,7 @@ let check_ident ctx (loc : Location.t) lid =
     add_finding ctx loc "D004"
       (Printf.sprintf
          "ambient concurrency primitive %s; route parallelism through \
-          Glassdb_util.Pool (run / parallel_map) and locking through \
+          Glassdb_util.Pool.parallel_map and locking through \
           Pool.Lock — lib/util/pool is the one sanctioned home of raw \
           domains and mutexes"
          name)

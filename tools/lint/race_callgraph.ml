@@ -2,7 +2,7 @@
 
    Stitches the per-module summaries into:
    - a *pooled-reachable* set: functions callable (transitively) from a
-     [Pool.run] / [Pool.parallel_map] task closure;
+     [Pool.parallel_map] task closure;
    - a *must-hold* map: locks held at every call site of a function
      (greatest fixpoint, intersection over call sites) — used by R001 to
      credit helpers that are only ever called under a lock;

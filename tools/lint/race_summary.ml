@@ -19,8 +19,8 @@
    - *events*: every identifier use (Call), root access (Access, read or
      write) and lock acquisition (Acquire), each annotated with the
      enclosing top-level binding, whether the site is syntactically
-     inside a pool-task closure (an argument of [Pool.run] /
-     [Pool.parallel_map]), and the lock names syntactically held.
+     inside a pool-task closure (an argument of [Pool.parallel_map]),
+     and the lock names syntactically held.
 
    Phase 2 (race_callgraph + racecheck_engine) stitches the summaries
    into a whole-library call graph and checks rules R001–R004. *)
@@ -95,9 +95,7 @@ let with_lock_idents =
 let lock_create_idents =
   [ "Pool.Lock.create"; "Lock.create"; "Glassdb_util.Pool.Lock.create" ]
 
-let submit_idents =
-  [ "Pool.run"; "Pool.parallel_map";
-    "Glassdb_util.Pool.run"; "Glassdb_util.Pool.parallel_map" ]
+let submit_idents = [ "Pool.parallel_map"; "Glassdb_util.Pool.parallel_map" ]
 
 (* Constructors whose result is module-level mutable state when bound at
    the top level. *)
