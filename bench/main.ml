@@ -111,13 +111,7 @@ let experiments : (string * string * (unit -> unit)) list =
      fun () ->
        Bench5.run_and_write
          ~quick:(!Common.profile == Common.quick)
-         ~pool_sizes:[ 1; 2; 4; 8 ] ~path:"BENCH_5.json" ());
-    ("bench9",
-     "write amplification vs blocks-per-hashify (writes BENCH_9.json)",
-     fun () ->
-       Bench9.run_and_write
-         ~quick:(!Common.profile == Common.quick)
-         ~path:"BENCH_9.json" ()) ]
+         ~pool_sizes:[ 1; 2; 4; 8 ] ~path:"BENCH_5.json" ()) ]
 
 let run_suite quick names =
   if quick then Common.profile := Common.quick;

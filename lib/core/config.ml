@@ -6,7 +6,6 @@ type t = {
   sync_persist : bool;
   pattern_bits : int;
   queue_capacity : int;
-  blocks_per_hashify : int;
   cost : Cost.t;
   rtt : float;
   bandwidth : float;
@@ -19,13 +18,11 @@ type t = {
 
 let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     ?(batching = true) ?(sync_persist = false) ?(pattern_bits = 5)
-    ?(queue_capacity = 4096) ?(blocks_per_hashify = 1)
-    ?(cost = Cost.default) ?(rtt = 200e-6) ?(bandwidth = 125e6)
+    ?(queue_capacity = 4096) ?(cost = Cost.default) ?(rtt = 200e-6) ?(bandwidth = 125e6)
     ?(rpc_timeout = 1.0) ?(rpc_retries = 2) ?(retry_backoff = 0.01) ?(verify_delay = 0.1) ?faults
     () =
   if shards <= 0 then invalid_arg "Config.make: shards";
   if workers <= 0 then invalid_arg "Config.make: workers";
-  if blocks_per_hashify < 1 then invalid_arg "Config.make: blocks_per_hashify";
   if persist_interval <= 0. then invalid_arg "Config.make: persist_interval";
   if pattern_bits < 1 || pattern_bits > 20 then
     invalid_arg "Config.make: pattern_bits";
@@ -40,7 +37,6 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
     sync_persist;
     pattern_bits;
     queue_capacity;
-    blocks_per_hashify;
     cost;
     rtt;
     bandwidth;
@@ -59,5 +55,4 @@ let node cfg =
     sync_persist = cfg.sync_persist;
     pattern_bits = cfg.pattern_bits;
     cost = cfg.cost;
-    queue_capacity = cfg.queue_capacity;
-    blocks_per_hashify = cfg.blocks_per_hashify }
+    queue_capacity = cfg.queue_capacity }

@@ -15,7 +15,6 @@ type t = {
   sync_persist : bool;      (** true = persist inside commit (no-DV) *)
   pattern_bits : int;       (** POS-tree split-pattern bits *)
   queue_capacity : int;     (** max in-flight txns per node before aborting *)
-  blocks_per_hashify : int; (** committed-map layers folded per hashify *)
   cost : Cost.t;            (** work → simulated-time model *)
   rtt : float;              (** network round trip, seconds *)
   bandwidth : float;        (** link bandwidth, bytes/second *)
@@ -34,9 +33,6 @@ val make :
   ?sync_persist:bool ->     (* false *)
   ?pattern_bits:int ->      (* 5 *)
   ?queue_capacity:int ->    (* 4096 *)
-  ?blocks_per_hashify:int ->(* 1; >1 folds N layers into one block, but
-                               intra-fold superseded writes lose their
-                               deferred-verification promises *)
   ?cost:Cost.t ->           (* Cost.default *)
   ?rtt:float ->             (* 200e-6 s: same-rack TCP *)
   ?bandwidth:float ->       (* 125e6 B/s: 1 Gbps *)
@@ -48,8 +44,8 @@ val make :
   unit -> t
 (** Labelled smart constructor; defaults in the comments above.  Raises
     [Invalid_argument] on non-positive [shards]/[workers]/
-    [persist_interval]/[rpc_timeout], [blocks_per_hashify < 1],
-    [pattern_bits] outside 1..20, or negative retry settings. *)
+    [persist_interval]/[rpc_timeout], [pattern_bits] outside 1..20, or
+    negative retry settings. *)
 
 val default : t
 

@@ -2,7 +2,6 @@ open Glassdb_util
 module Kv = Txnkit.Kv
 module Pos_tree = Postree.Pos_tree
 module IMap = Map.Make (Int)
-module SMap = Map.Make (String)
 
 type config = {
   store : Storage.Node_store.t;
@@ -54,21 +53,17 @@ let digest_equal a b =
 let pp_digest fmt d =
   Format.fprintf fmt "#%d:%s" d.block_no (Hash.short d.root)
 
-type block_write = Layer.write = {
-  wkey : Kv.key;
-  wvalue : Kv.value;
-  wtid : Kv.txn_id;
-}
+type block_write = { wkey : Kv.key; wvalue : Kv.value; wtid : Kv.txn_id }
 
 type t = {
   cfg : config;
   upper : Pos_tree.t;
   states : Pos_tree.t;
-  flat : Layer.Flat.t;
-      (* The flat committed map: shared, mutable, append-only across the
-         functional versions of one linear history.  Payloads carry their
-         version block, so a stale view detects newer bindings (see
-         [flat_payload]). *)
+  flat : string Storage.Bptree.t;
+      (* The flat committed map: every appended binding's encoded payload,
+         shared, mutable and append-only across the functional versions of
+         one linear history.  Payloads carry their version block, so a
+         stale view detects newer bindings (see [flat_payload]). *)
   snapshots : Pos_tree.t IMap.t;
   headers : header IMap.t;
   bodies : (block_write list * Kv.signed_txn list) IMap.t;
@@ -80,7 +75,7 @@ let create cfg =
   { cfg;
     upper = Pos_tree.empty pcfg;
     states = Pos_tree.empty pcfg;
-    flat = Layer.Flat.create ();
+    flat = Storage.Bptree.create ();
     snapshots = IMap.empty;
     headers = IMap.empty;
     bodies = IMap.empty;
@@ -139,43 +134,18 @@ let body_root writes txns =
 let flat_payload t key =
   if t.latest < 0 then None
   else
-    match Layer.Flat.find t.flat key with
+    match Storage.Bptree.find t.flat key with
     | None -> None
     | Some payload ->
       let _, version, _ = decode_payload payload in
       if version <= t.latest then Some payload else Pos_tree.get t.states key
 
-(* --- the staged write path (DESIGN.md §4j) --- *)
+(* --- the write path (DESIGN.md §4j) --- *)
 
-(* A staged view: delta layers (oldest first) accumulated against the
-   ledger version [s_base], destined to become ONE block on hashify. *)
-type staged = { s_base : int; s_layers : Layer.delta list }
-
-let stage t ~time ~writes ~txns =
-  { s_base = t.latest; s_layers = [ Layer.delta ~time ~writes ~txns ] }
-
-let fold staged_list =
-  match staged_list with
-  | [] -> invalid_arg "Ledger.fold: empty staged list"
-  | s :: rest ->
-    List.iter
-      (fun s' ->
-        if not (Int.equal s'.s_base s.s_base) then
-          invalid_arg "Ledger.fold: staged views have different bases")
-      rest;
-    { s_base = s.s_base;
-      s_layers = List.concat_map (fun s -> s.s_layers) staged_list }
-
-let staged_layers s = List.length s.s_layers
-let staged_time s = Layer.time (Layer.fold_merge s.s_layers)
-let staged_txns s = Layer.txns (Layer.fold_merge s.s_layers)
-let staged_writes s = Layer.writes (Layer.fold_merge s.s_layers)
-
-let hashify t staged =
-  if not (Int.equal staged.s_base t.latest) then
-    invalid_arg "Ledger.hashify: staged against a different ledger version";
-  let merged = Layer.fold_merge staged.s_layers in
-  let writes = Layer.writes merged and txns = Layer.txns merged in
+let append_block t ~time ~writes ~txns =
+  let keys = List.map (fun w -> w.wkey) writes in
+  if List.compare_lengths keys (List.sort_uniq String.compare keys) <> 0 then
+    invalid_arg "Ledger.append_block: duplicate key in block";
   let block_no = t.latest + 1 in
   let updates =
     List.map
@@ -190,11 +160,11 @@ let hashify t staged =
         (w.wkey, encode_payload ~value:w.wvalue ~version:block_no ~prev))
       writes
   in
-  (* One POS-tree batch and one root recompute cover the whole stack —
-     the coarser the fold, the more chunk builds amortize through the
-     Pool-parallel hashing inside [insert_batch]. *)
+  (* One POS-tree batch and one root recompute cover the whole block; its
+     chunk builds fan out through the Pool-parallel hashing inside
+     [insert_batch]. *)
   let states = Pos_tree.insert_batch t.states updates in
-  List.iter (fun (k, payload) -> Layer.Flat.insert t.flat k payload) updates;
+  List.iter (fun (k, payload) -> Storage.Bptree.insert t.flat k payload) updates;
   let header =
     { block_no;
       state_root = Pos_tree.root_hash states;
@@ -203,7 +173,7 @@ let hashify t staged =
          else header_hash (IMap.find t.latest t.headers));
       body_root = body_root writes txns;
       n_writes = List.length writes;
-      time = Layer.time merged }
+      time }
   in
   let upper =
     Pos_tree.insert_batch t.upper [ (block_key block_no, header_bytes header) ]
@@ -217,14 +187,13 @@ let hashify t staged =
     IMap.add block_no states t.snapshots
     |> IMap.filter (fun b _ -> b > block_no - t.cfg.snapshot_retention)
   in
-  ( { t with
-      upper;
-      states;
-      snapshots;
-      headers = IMap.add block_no header t.headers;
-      bodies = IMap.add block_no (writes, txns) t.bodies;
-      latest = block_no },
-    header )
+  { t with
+    upper;
+    states;
+    snapshots;
+    headers = IMap.add block_no header t.headers;
+    bodies = IMap.add block_no (writes, txns) t.bodies;
+    latest = block_no }
 
 let state_at t block =
   if Int.equal block t.latest then Some t.states
@@ -259,14 +228,6 @@ let get ?block t key =
       (match Pos_tree.get st key with
        | None -> None
        | Some payload -> Some (decode_payload payload))
-
-(* Reads against a staged view: the delta stack answers top-down (newest
-   layer first), then the flat map.  Stack hits are free like
-   committed-map hits — the deltas are small resident structures. *)
-let staged_get t staged key =
-  match Layer.find_stack (List.rev staged.s_layers) key with
-  | Some w -> Some w.wvalue
-  | None -> Option.map (fun (v, _, _) -> v) (get t key)
 
 let get_history t key ~n =
   let rec go block acc remaining =
@@ -552,7 +513,7 @@ let scan ?block t ~lo ~hi =
   if Int.equal block t.latest && block >= 0 then begin
     (* Flat-map range scan; if any row was written by a version newer than
        this view, fall back to the authenticated snapshot wholesale. *)
-    let rows = Layer.Flat.range t.flat ~lo ~hi in
+    let rows = Storage.Bptree.range t.flat ~lo ~hi in
     let current (_, payload) =
       let _, version, _ = decode_payload payload in
       version <= t.latest
@@ -566,26 +527,6 @@ let scan ?block t ~lo ~hi =
     else scan_at t block ~lo ~hi
   end
   else scan_at t block ~lo ~hi
-
-(* Range read through a staged view: flat rows overlaid by the delta
-   stack, oldest to newest, so the newest layer's binding wins. *)
-let staged_scan t staged ~lo ~hi =
-  let in_range k = String.compare lo k <= 0 && String.compare k hi < 0 in
-  let base =
-    List.fold_left
-      (fun m (k, v) -> SMap.add k v m)
-      SMap.empty
-      (scan t ~lo ~hi)
-  in
-  let overlaid =
-    List.fold_left
-      (fun m d ->
-        List.fold_left
-          (fun m w -> if in_range w.wkey then SMap.add w.wkey w.wvalue m else m)
-          m (Layer.writes d))
-      base staged.s_layers
-  in
-  SMap.bindings overlaid
 
 let verify_scan ~digest ~lo ~hi ~rows p =
   match Codec.of_string decode_header p.sp_header with
@@ -670,17 +611,8 @@ let verify_append_only ~old_digest ~new_digest proof =
    they trigger is charged to "postree" / "verify" by the Pos_tree scopes
    nested inside (exclusive attribution, see Glassdb_util.Work). *)
 
-let stage t ~time ~writes ~txns =
-  Work.with_component "ledger" (fun () -> stage t ~time ~writes ~txns)
-
-let hashify t staged =
-  Work.with_component "ledger" (fun () -> hashify t staged)
-
-(* The legacy entry point is now a thin stage+hashify of a single-layer
-   stack — byte-identical blocks, headers and proofs to the eager path it
-   replaced. *)
 let append_block t ~time ~writes ~txns =
-  fst (hashify t (stage t ~time ~writes ~txns))
+  Work.with_component "ledger" (fun () -> append_block t ~time ~writes ~txns)
 
 let prove_inclusion t key ~block =
   Work.with_component "proof" (fun () -> prove_inclusion t key ~block)

@@ -52,18 +52,16 @@ val genesis : digest
 val digest_equal : digest -> digest -> bool
 val pp_digest : Format.formatter -> digest -> unit
 
-type block_write = Layer.write = {
-  wkey : Kv.key;
-  wvalue : Kv.value;
-  wtid : Kv.txn_id;
-}
+type block_write = { wkey : Kv.key; wvalue : Kv.value; wtid : Kv.txn_id }
+(** One committed write: the key, its new value, and the transaction that
+    produced it. *)
 
 type t
-(** A ledger version.  Versions form one linear history: each {!hashify}
-    (or {!append_block}) returns the successor version while older values
-    stay readable.  The flat committed map backing latest-state reads is
-    shared across the history's versions; forking two successors from the
-    same version is not supported. *)
+(** A ledger version.  Versions form one linear history: each
+    {!append_block} returns the successor version while older values stay
+    readable.  The flat committed map backing latest-state reads is shared
+    across the history's versions; forking two successors from the same
+    version is not supported. *)
 
 val create : config -> t
 val latest_block : t -> int
@@ -72,59 +70,14 @@ val latest_block : t -> int
 val digest : t -> digest
 val key_count : t -> int
 
-(* --- the staged write path (DESIGN.md §4j) --- *)
-
-type staged
-(** A stack of copy-on-write delta layers accumulated against one ledger
-    version, destined to become ONE block when hashified.  Building and
-    folding staged views does no Merkle work — authentication is deferred
-    entirely to {!hashify}. *)
-
-val stage :
-  t -> time:float -> writes:block_write list -> txns:Kv.signed_txn list ->
-  staged
-(** Stage one delta layer (at most one version per key;
-    [Invalid_argument] otherwise) against [t].  [txns] are the signed
-    transactions vouching for the writes, retained for auditing. *)
-
-val fold : staged list -> staged
-(** Concatenate the stacks (oldest first) into one staged view.  All
-    inputs must be staged against the same ledger version;
-    [Invalid_argument] otherwise, or on the empty list. *)
-
-val hashify : t -> staged -> t * header
-(** Commit a staged view as one block: the layer stack is merged (each
-    key keeps its newest version — see {!Layer.fold_merge}), the merged
-    writes go through a single [Pos_tree.insert_batch] and one root
-    recompute, and the flat committed map absorbs the new payloads.
-    Raises [Invalid_argument] when [staged] was built against a different
-    ledger version than [t]. *)
-
-val staged_layers : staged -> int
-(** Number of delta layers in the stack. *)
-
-val staged_writes : staged -> block_write list
-(** The merged writes {!hashify} would commit (superseded intra-stack
-    versions dropped, newest-at-its-position order). *)
-
-val staged_txns : staged -> Kv.signed_txn list
-val staged_time : staged -> float
-
-val staged_get : t -> staged -> Kv.key -> Kv.value option
-(** Read through a staged view: delta layers top-down (newest first),
-    then the flat committed map. *)
-
-val staged_scan :
-  t -> staged -> lo:Kv.key -> hi:Kv.key -> (Kv.key * Kv.value) list
-(** Range read through a staged view: committed rows overlaid with the
-    staged layers' bindings, newest layer winning; [lo <= key < hi],
-    ascending. *)
-
 val append_block :
   t -> time:float -> writes:block_write list -> txns:Kv.signed_txn list -> t
-(** [stage] + [hashify] of a single-layer stack: append one block
-    containing the given writes (at most one version per key;
-    [Invalid_argument] otherwise). *)
+(** The only write path (DESIGN.md §4j): append one block holding
+    [writes] — at most one version per key, [Invalid_argument] otherwise.
+    The writes go through one [Pos_tree.insert_batch] and one root
+    recompute, and the flat committed map absorbs their payloads.  [txns]
+    are the signed transactions vouching for the writes, kept for
+    auditing. *)
 
 val get : ?block:int -> t -> Kv.key -> (Kv.value * int * int) option
 (** (value, version block, previous-version block or -1) as of [block]

@@ -11,7 +11,6 @@ type config = {
   pattern_bits : int;
   cost : Cost.t;
   queue_capacity : int;
-  blocks_per_hashify : int;
 }
 
 let default_config =
@@ -21,8 +20,7 @@ let default_config =
     sync_persist = false;
     pattern_bits = 5;
     cost = Cost.default;
-    queue_capacity = 4096;
-    blocks_per_hashify = 1 }
+    queue_capacity = 4096 }
 
 type promise = {
   pr_shard : int;
@@ -60,6 +58,12 @@ type t = {
   m_aborts : Obs.Metrics.counter;
 }
 
+(* Blocks a full drain would build right now; the persister bounds each
+   wake-up by this so commits arriving mid-drain wait for the next one. *)
+let pending_blocks t =
+  if t.cfg.batching then Committed_map.max_depth t.cmap
+  else Queue.length t.txn_blocks
+
 (* Callback gauges into the node's live state, scraped periodically by the
    Obs sampler.  Registration replaces any gauge a previous run's node left
    behind for the same shard. *)
@@ -68,11 +72,7 @@ let register_gauges t =
   g "glassdb.node.wal_bytes" (fun () ->
       float_of_int (Storage.Wal.size_bytes t.wal));
   g "glassdb.node.pending_blocks" (fun () ->
-      float_of_int
-        (if t.cfg.batching then
-           let w = max 1 t.cfg.blocks_per_hashify in
-           (Committed_map.max_depth t.cmap + w - 1) / w
-         else Queue.length t.txn_blocks));
+      float_of_int (pending_blocks t));
   g "glassdb.node.committed_keys" (fun () ->
       float_of_int (Committed_map.pending_keys t.cmap));
   g "glassdb.node.blocks" (fun () ->
@@ -214,47 +214,23 @@ let parse_wal_block payload =
 
 (* --- persistence --- *)
 
-(* Stage each drained layer as its own delta, fold the stack, and hashify
-   once: one POS-tree batch insert and one root recompute cover the whole
-   group (Ledger's staged write path, DESIGN.md §4j).  The WAL "block"
-   record carries every (tid, key) pair of the group — including versions
-   superseded inside the fold — so recovery never re-queues any of them.
-   Each signed transaction is attached to the first layer that mentions
-   it, so a txn whose writes span layers of one group ships once. *)
-let block_of_layers t ~now layers =
-  let seen_tids = Hashtbl.create 16 in
-  let staged =
-    List.map
-      (fun layer ->
-        let tids =
-          List.filter
-            (fun tid ->
-              if Hashtbl.mem seen_tids tid then false
-              else begin
-                Hashtbl.replace seen_tids tid ();
-                true
-              end)
-            (List.sort_uniq String.compare
-               (List.map (fun (_, _, tid) -> tid) layer))
-        in
-        let txns = List.filter_map (Hashtbl.find_opt t.signed) tids in
-        let writes =
-          List.map
-            (fun (k, v, tid) -> { Ledger.wkey = k; wvalue = v; wtid = tid })
-            layer
-        in
-        Ledger.stage t.ledger ~time:now ~writes ~txns)
-      layers
+(* Append one drained layer (at most one version per key) as one block,
+   with the signed transactions vouching for it (DESIGN.md §4j).  The WAL
+   "block" record carries the layer's (tid, key) pairs so recovery never
+   re-queues them. *)
+let append_layer t ~now layer =
+  let tids =
+    List.sort_uniq String.compare (List.map (fun (_, _, tid) -> tid) layer)
   in
-  let ledger, _header = Ledger.hashify t.ledger (Ledger.fold staged) in
-  t.ledger <- ledger;
+  let writes =
+    List.map (fun (k, v, tid) -> { Ledger.wkey = k; wvalue = v; wtid = tid }) layer
+  in
+  t.ledger <-
+    Ledger.append_block t.ledger ~time:now ~writes
+      ~txns:(List.filter_map (Hashtbl.find_opt t.signed) tids);
   ignore
     (Storage.Wal.append t.wal ~kind:"block"
-       ~payload:
-         (wal_block_payload ~block:(Ledger.latest_block t.ledger)
-            (List.concat layers)))
-
-let fold_width t = max 1 t.cfg.blocks_per_hashify
+       ~payload:(wal_block_payload ~block:(Ledger.latest_block t.ledger) layer))
 
 (* Build at most one block; true when a block was appended.  The caller
    (the persister process) charges each step separately so ledger writes
@@ -263,17 +239,10 @@ let fold_width t = max 1 t.cfg.blocks_per_hashify
 let persist_step t ~now =
   if not t.is_alive then false
   else if t.cfg.batching then begin
-    let rec drain n acc =
-      if n = 0 then List.rev acc
-      else
-        match Committed_map.drain_layer t.cmap with
-        | [] -> List.rev acc
-        | layer -> drain (n - 1) (layer :: acc)
-    in
-    match drain (fold_width t) [] with
+    match Committed_map.drain_layer t.cmap with
     | [] -> false
-    | layers ->
-      block_of_layers t ~now layers;
+    | layer ->
+      append_layer t ~now layer;
       true
   end
   else begin
@@ -292,20 +261,12 @@ let persist_step t ~now =
         in
         if layer = [] then next ()
         else begin
-          block_of_layers t ~now [ layer ];
+          append_layer t ~now layer;
           true
         end
     in
     next ()
   end
-
-(* Blocks a full drain would build right now; the persister bounds each
-   wake-up by this so commits arriving mid-drain wait for the next one. *)
-let pending_blocks t =
-  if t.cfg.batching then
-    let w = fold_width t in
-    (Committed_map.max_depth t.cmap + w - 1) / w
-  else Queue.length t.txn_blocks
 
 let persist t ~now =
   let blocks = ref 0 in
@@ -358,6 +319,34 @@ let take_persist_ctx t =
   t.persist_ctx <- None;
   c
 
+(* Queue a committed transaction's writes for persistence and return the
+   promised block of each.  Shared by [commit] and WAL replay, so a
+   recovered node re-derives exactly the promises it made before the
+   crash. *)
+let enqueue t tid writes =
+  let persisted = Ledger.latest_block t.ledger in
+  let promise k v predicted =
+    Committed_map.add t.cmap ~predicted k v tid;
+    { pr_shard = t.id; pr_tid = tid; pr_key = k; pr_value = v;
+      pr_block = predicted }
+  in
+  if t.cfg.batching then
+    List.map
+      (fun (k, v) ->
+        promise k v
+          (Committed_map.predict t.cmap ~persisted_block:persisted k))
+      writes
+  else if writes = [] then []
+  else begin
+    (* One block per transaction: its position in the queue decides the
+       block number for all of its keys.  Read-only participants must not
+       enqueue — they would consume a block position without ever
+       producing a block. *)
+    let predicted = persisted + Queue.length t.txn_blocks + 1 in
+    Queue.add (tid, writes) t.txn_blocks;
+    List.map (fun (k, v) -> promise k v predicted) writes
+  end
+
 let commit t ?ctx tid =
   match Occ.commit t.occ ~tid with
   | None -> []
@@ -371,35 +360,7 @@ let commit t ?ctx tid =
     ignore
       (Storage.Wal.append t.wal ~kind:"commit"
          ~payload:(wal_commit_payload tid rw.Kv.writes));
-    let persisted = Ledger.latest_block t.ledger in
-    let promises =
-      if t.cfg.batching then
-        List.map
-          (fun (k, v) ->
-            let predicted =
-              Committed_map.predict ~fold:(fold_width t) t.cmap
-                ~persisted_block:persisted k
-            in
-            Committed_map.add t.cmap ~predicted k v tid;
-            { pr_shard = t.id; pr_tid = tid; pr_key = k; pr_value = v;
-              pr_block = predicted })
-          rw.Kv.writes
-      else if rw.Kv.writes = [] then []
-      else begin
-        (* One block per transaction: its position in the queue decides the
-           block number for all of its keys.  Read-only participants must
-           not enqueue — they would consume a block position without ever
-           producing a block. *)
-        let predicted = persisted + Queue.length t.txn_blocks + 1 in
-        Queue.add (tid, rw.Kv.writes) t.txn_blocks;
-        List.map
-          (fun (k, v) ->
-            Committed_map.add t.cmap ~predicted k v tid;
-            { pr_shard = t.id; pr_tid = tid; pr_key = k; pr_value = v;
-              pr_block = predicted })
-          rw.Kv.writes
-      end
-    in
+    let promises = enqueue t tid rw.Kv.writes in
     if t.cfg.sync_persist && rw.Kv.writes <> [] then
       ignore (persist t ~now:(Sim.now ()));
     promises
@@ -587,20 +548,14 @@ let recover t =
         ()
       | _ -> ())
     (Storage.Wal.records_from t.wal 0);
-  let persisted_block = Ledger.latest_block t.ledger in
+  (* Re-queue each transaction's unpersisted writes in commit order, as
+     [commit] queued them: in no-BA mode the transaction stays one queue
+     entry, so it keeps its single promised block. *)
   List.iter
     (fun (tid, writes) ->
-      List.iter
-        (fun (k, v) ->
-          if not (Hashtbl.mem persisted (tid, k)) then begin
-            let predicted =
-              Committed_map.predict ~fold:(fold_width t) t.cmap
-                ~persisted_block k
-            in
-            Committed_map.add t.cmap ~predicted k v tid;
-            if not t.cfg.batching then Queue.add (tid, [ (k, v) ]) t.txn_blocks
-          end)
-        writes)
+      ignore
+        (enqueue t tid
+           (List.filter (fun (k, _) -> not (Hashtbl.mem persisted (tid, k))) writes)))
     (List.rev !commits);
   Obs.Metrics.inc
     (Obs.Metrics.counter ~name:"glassdb.node.recoveries" ~labels:t.labels ());

@@ -18,12 +18,6 @@ type config = {
   pattern_bits : int;
   cost : Cost.t;
   queue_capacity : int;     (** max in-flight transactions before aborting *)
-  blocks_per_hashify : int;
-      (** committed-map layers folded into one block per hashify (batched
-          mode).  1 = one layer per block, the exact legacy behavior.
-          With larger folds, versions of a key superseded inside one
-          folded group never reach the ledger, so their deferred promises
-          cannot be proven — keep 1 when clients verify every write. *)
 }
 
 val default_config : config
@@ -86,9 +80,10 @@ val persist_cost : t -> int
     persist. *)
 
 val persist_step : t -> now:float -> bool
-(** Build at most one block; [false] when nothing is pending.  The
-    persister process charges each step separately so ledger IO
-    interleaves with foreground traffic. *)
+(** Build at most one block — one drained committed-map layer (at most one
+    version per key), or without batching the next committed transaction;
+    [false] when nothing is pending.  The persister process charges each
+    step separately so ledger IO interleaves with foreground traffic. *)
 
 val checkpoint : t -> unit
 (** Truncate the WAL once everything it covers is persisted to the ledger;
@@ -156,8 +151,9 @@ val crash : t -> unit
 
 val recover : t -> unit
 (** Reboot: reset volatile state and replay the WAL — committed writes not
-    covered by a later "block" record are re-queued for persistence at the
-    correct block sequence; prepared-but-undecided transactions are
+    covered by a later "block" record are re-queued in commit order, one
+    transaction at a time as {!commit} queued them, so they land in the
+    blocks promised before the crash; prepared-but-undecided transactions are
     conservatively aborted; torn trailing records are skipped.  Replay is
     idempotent.  Emits a [recovery.wal_replay] span and bumps the
     [glassdb.node.recoveries] / [glassdb.node.wal_replayed_records]

@@ -46,8 +46,8 @@ val cache_misses : t -> int
 (** Fetches that had to touch the backing table (including absent keys). *)
 
 val duplicate_puts : t -> int
-(** Puts of an already-stored hash — content-addressed re-puts (e.g. a
-    folded hashify re-writing shared chunks).  They leave [node_count],
+(** Puts of an already-stored hash — content-addressed re-puts of a node
+    some earlier write already stored.  They leave [node_count],
     [total_bytes] and the Work charges untouched. *)
 
 val cache_capacity : t -> int

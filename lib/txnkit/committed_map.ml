@@ -12,18 +12,13 @@ let queue_of t k =
     Hashtbl.replace t.table k q;
     q
 
-let predict ?(fold = 1) t ~persisted_block k =
-  if fold < 1 then invalid_arg "Committed_map.predict: fold";
+let predict t ~persisted_block k =
   let depth =
     match Hashtbl.find_opt t.table k with
     | None -> 0
     | Some q -> Queue.length q
   in
-  (* Under folded persistence every drained group of [fold] layers becomes
-     one block, so queue position p lands in block
-     persisted + floor(p / fold) + 1; the new version enters at position
-     [depth]. *)
-  persisted_block + (depth / fold) + 1
+  persisted_block + depth + 1
 
 let add t ~predicted k value tid =
   Queue.add { value; predicted; tid } (queue_of t k)

@@ -13,12 +13,10 @@ type t
 
 val create : unit -> t
 
-val predict : ?fold:int -> t -> persisted_block:int -> Kv.key -> int
-(** Block number the next version of [key] will land in, assuming batched
-    persistence draining [fold] layers per block (default 1 — one layer
-    per block).  With [fold > 1], versions of the same key superseded
-    inside one folded group share a predicted block but only the newest
-    survives into it.  Raises [Invalid_argument] when [fold < 1]. *)
+val predict : t -> persisted_block:int -> Kv.key -> int
+(** Block number the next version of [key] will land in under batched
+    persistence, where every block drains one pending version per key:
+    [persisted_block] plus the key's queue depth plus one. *)
 
 val add : t -> predicted:int -> Kv.key -> Kv.value -> Kv.txn_id -> unit
 (** Queue a committed write with its predicted block number. *)

@@ -245,7 +245,8 @@ let test_ledger_append_only_detects_fork () =
     (Ledger.verify_append_only ~old_digest:fork_digests.(6)
        ~new_digest:(Ledger.digest main) p)
 
-(* --- Layered write path (DESIGN.md §4j): staged API --- *)
+(* --- Pool-size equivalence: ledger output is independent of the domain
+   pool size --- *)
 
 module Pool = Glassdb_util.Pool
 
@@ -269,188 +270,59 @@ let mk_batches ~seed ~n_batches ~batch_size =
       done;
       (float_of_int b, List.rev !writes))
 
-let rec chunk n = function
-  | [] -> []
-  | xs ->
-    let rec take k acc = function
-      | rest when k = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-    in
-    let g, rest = take n [] xs in
-    g :: chunk n rest
+(* Every output the pool could perturb, as labelled byte strings.  The
+   batch-proof groups cover all 40 keys in each of the 8 blocks, enough
+   declared cost for [prove_inclusion_batches] to take the pooled path. *)
+let ledger_outputs ~seed =
+  let store = Storage.Node_store.create () in
+  let l =
+    List.fold_left
+      (fun l (time, writes) -> Ledger.append_block l ~time ~writes ~txns:[])
+      (Ledger.create (Ledger.config store))
+      (mk_batches ~seed ~n_batches:8 ~batch_size:12)
+  in
+  let d = Ledger.digest l in
+  let keys = List.init 40 (Printf.sprintf "key-%02d") in
+  let per_key label f =
+    List.map (fun k -> (label ^ " " ^ k, f k)) [ "key-00"; "key-17"; "key-39" ]
+  in
+  [ ("digest", Printf.sprintf "%d %s %s" d.Ledger.block_no d.Ledger.root d.Ledger.head);
+    ("store node count", string_of_int (Storage.Node_store.node_count store)) ]
+  @ per_key "current proof" (fun k ->
+        Codec.encode_to_string Ledger.proof_codec (Ledger.prove_current l k))
+  @ per_key "history" (fun k ->
+        String.concat ";"
+          (List.map
+             (fun (v, b) -> Printf.sprintf "%s@%d" v b)
+             (Ledger.get_history l k ~n:20)))
+  @ [ ("append-only proof",
+       Codec.encode_to_string Ledger.append_proof_codec
+         (Ledger.prove_append_only l ~old_block:0));
+      ("batch proofs",
+       String.concat ""
+         (List.map
+            (Codec.encode_to_string Ledger.batch_proof_codec)
+            (Ledger.prove_inclusion_batches l
+               (List.init 8 (fun b -> (b, keys)))))) ]
 
-(* Reference merge, independent of Layer.fold_merge: newest version per
-   key, kept at the position of its newest occurrence. *)
-let merge_writes wss =
-  let seen = Hashtbl.create 16 in
-  List.concat wss |> List.rev
-  |> List.filter (fun wr ->
-         if Hashtbl.mem seen wr.Ledger.wkey then false
-         else (Hashtbl.replace seen wr.Ledger.wkey (); true))
-  |> List.rev
-
-let check_equiv_one ~seed ~width =
-  let ctx msg = Printf.sprintf "seed %d width %d: %s" seed width msg in
-  let batches = mk_batches ~seed ~n_batches:8 ~batch_size:12 in
-  let groups = chunk width batches in
-  let store_a = Storage.Node_store.create () in
-  let store_b = Storage.Node_store.create () in
-  let a = ref (Ledger.create (Ledger.config store_a)) in
-  let b = ref (Ledger.create (Ledger.config store_b)) in
-  List.iter
-    (fun g ->
-      (* Reference path: hand-merged single-layer append_block. *)
-      let time, _ = List.nth g (List.length g - 1) in
-      a := Ledger.append_block !a ~time
-          ~writes:(merge_writes (List.map snd g)) ~txns:[];
-      (* Layered path: stage each batch, fold the stack, hashify once. *)
-      let staged =
-        Ledger.fold
-          (List.map (fun (time, writes) -> Ledger.stage !b ~time ~writes ~txns:[]) g)
-      in
-      let b', _ = Ledger.hashify !b staged in
-      b := b')
-    groups;
-  if not (Ledger.digest_equal (Ledger.digest !a) (Ledger.digest !b)) then
-    Alcotest.fail (ctx "digests diverge");
-  Alcotest.(check int) (ctx "store node counts")
-    (Storage.Node_store.node_count store_a)
-    (Storage.Node_store.node_count store_b);
-  List.iter
-    (fun k ->
-      Alcotest.(check string) (ctx ("proof bytes for " ^ k))
-        (Codec.encode_to_string Ledger.proof_codec (Ledger.prove_current !a k))
-        (Codec.encode_to_string Ledger.proof_codec (Ledger.prove_current !b k));
-      Alcotest.(check (list (pair string int))) (ctx ("history of " ^ k))
-        (Ledger.get_history !a k ~n:20)
-        (Ledger.get_history !b k ~n:20))
-    [ "key-00"; "key-17"; "key-39" ];
-  Alcotest.(check string) (ctx "append-only proof bytes")
-    (Codec.encode_to_string Ledger.append_proof_codec
-       (Ledger.prove_append_only !a ~old_block:0))
-    (Codec.encode_to_string Ledger.append_proof_codec
-       (Ledger.prove_append_only !b ~old_block:0))
-
-let test_layered_equivalence_property () =
+let test_pool_size_equivalence_property () =
   let orig = Pool.global_size () in
   Fun.protect ~finally:(fun () -> Pool.set_global_size orig) (fun () ->
+      Pool.set_global_size 1;
+      let reference = List.init 10 (fun seed -> ledger_outputs ~seed) in
       List.iter
         (fun pool ->
           Pool.set_global_size pool;
-          List.iter
-            (fun width ->
-              for seed = 0 to 9 do
-                check_equiv_one ~seed ~width
-              done)
-            [ 1; 2; 4; 8 ])
-        [ 1; 2; 4 ])
-
-let test_staged_read_through () =
-  let l = mk_ledger () in
-  let l = Ledger.append_block l ~time:0.
-      ~writes:[ w "a" "base-a" "t0"; w "b" "base-b" "t0"; w "d" "base-d" "t0" ]
-      ~txns:[] in
-  let s1 = Ledger.stage l ~time:1.
-      ~writes:[ w "a" "mid-a" "t1"; w "c" "mid-c" "t1" ] ~txns:[] in
-  let s2 = Ledger.stage l ~time:2. ~writes:[ w "a" "top-a" "t2" ] ~txns:[] in
-  let s = Ledger.fold [ s1; s2 ] in
-  Alcotest.(check int) "two layers" 2 (Ledger.staged_layers s);
-  Alcotest.(check (option string)) "newest layer wins" (Some "top-a")
-    (Ledger.staged_get l s "a");
-  Alcotest.(check (option string)) "older layer visible" (Some "mid-c")
-    (Ledger.staged_get l s "c");
-  Alcotest.(check (option string)) "flat fallthrough" (Some "base-b")
-    (Ledger.staged_get l s "b");
-  Alcotest.(check (option string)) "absent everywhere" None
-    (Ledger.staged_get l s "zzz");
-  (* Merged view: superseded a dropped, newest kept at newest position. *)
-  Alcotest.(check (list string)) "merged write order" [ "c"; "a" ]
-    (List.map (fun wr -> wr.Ledger.wkey) (Ledger.staged_writes s));
-  Alcotest.(check (list string)) "merged values" [ "mid-c"; "top-a" ]
-    (List.map (fun wr -> wr.Ledger.wvalue) (Ledger.staged_writes s));
-  Alcotest.(check (list (pair string string))) "scan overlay"
-    [ ("a", "top-a"); ("b", "base-b"); ("c", "mid-c"); ("d", "base-d") ]
-    (Ledger.staged_scan l s ~lo:"a" ~hi:"e");
-  Alcotest.(check (list (pair string string))) "scan bounds"
-    [ ("b", "base-b"); ("c", "mid-c") ]
-    (Ledger.staged_scan l s ~lo:"b" ~hi:"d");
-  (* Hashify commits the merged view as one block. *)
-  let l', hdr = Ledger.hashify l s in
-  Alcotest.(check int) "one block" 1 hdr.Ledger.block_no;
-  Alcotest.(check int) "two merged writes" 2 hdr.Ledger.n_writes;
-  Alcotest.(check bool) "newest layer's time" true (hdr.Ledger.time = 2.);
-  (match Ledger.get l' "a" with
-   | Some ("top-a", 1, 0) -> ()
-   | _ -> Alcotest.fail "committed read of a");
-  match Ledger.get l' "c" with
-  | Some ("mid-c", 1, -1) -> ()
-  | _ -> Alcotest.fail "committed read of c"
-
-let test_staged_base_mismatch_rejected () =
-  let l0 = mk_ledger () in
-  let l1 = Ledger.append_block l0 ~time:0. ~writes:[ w "a" "1" "t" ] ~txns:[] in
-  let s0 = Ledger.stage l0 ~time:1. ~writes:[ w "b" "2" "t" ] ~txns:[] in
-  let s1 = Ledger.stage l1 ~time:1. ~writes:[ w "c" "3" "t" ] ~txns:[] in
-  (match Ledger.fold [ s0; s1 ] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "fold across different bases must be rejected");
-  (match Ledger.fold [] with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "empty fold must be rejected");
-  match Ledger.hashify l1 s0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "hashify against a different version must be rejected"
-
-let test_folded_block_survives_snapshot_eviction () =
-  (* A block built by a folded hashify, later evicted by snapshot
-     retention, must rebuild from the store (Pos_tree.load) and answer
-     reads, scans and proofs exactly like a never-evicted ledger. *)
-  let build retention =
-    let store = Storage.Node_store.create () in
-    let l = ref (Ledger.create (Ledger.config ~snapshot_retention:retention store)) in
-    let batches =
-      List.init 4 (fun i ->
-          ( float_of_int i,
-            List.init 6 (fun j ->
-                w (Printf.sprintf "k%d" ((i * 3 + j) mod 10))
-                  (Printf.sprintf "v%d.%d" i j)
-                  "t") ))
-    in
-    let staged =
-      Ledger.fold
-        (List.map (fun (time, writes) -> Ledger.stage !l ~time ~writes ~txns:[]) batches)
-    in
-    let l0, hdr = Ledger.hashify !l staged in
-    Alcotest.(check int) "folded into block 0" 0 hdr.Ledger.block_no;
-    l := l0;
-    for b = 1 to 6 do
-      l := Ledger.append_block !l ~time:(float_of_int (b + 4))
-          ~writes:[ w (Printf.sprintf "k%d" b) (Printf.sprintf "w%d" b) "t" ]
-          ~txns:[]
-    done;
-    !l
-  in
-  let evicted = build 1 and resident = build 100 in
-  Alcotest.(check int) "snapshot really evicted" 1
-    (Ledger.resident_snapshots evicted);
-  Alcotest.(check bool) "same digest" true
-    (Ledger.digest_equal (Ledger.digest evicted) (Ledger.digest resident));
-  for i = 0 to 9 do
-    let k = Printf.sprintf "k%d" i in
-    if Ledger.get ~block:0 evicted k <> Ledger.get ~block:0 resident k then
-      Alcotest.failf "get %s at block 0 diverges after rebuild" k
-  done;
-  Alcotest.(check bool) "scan of the folded block matches" true
-    (Ledger.scan ~block:0 evicted ~lo:"" ~hi:"kz"
-     = Ledger.scan ~block:0 resident ~lo:"" ~hi:"kz");
-  let d = Ledger.digest evicted in
-  let expected =
-    Option.map (fun (v, _, _) -> v) (Ledger.get ~block:0 resident "k5")
-  in
-  let p = Ledger.prove_inclusion evicted "k5" ~block:0 in
-  Alcotest.(check bool) "proof from the rebuilt folded block" true
-    (Ledger.verify_inclusion ~digest:d ~key:"k5" ~value:expected p)
+          List.iteri
+            (fun seed expected ->
+              List.iter2
+                (fun (label, want) (_, got) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "seed %d pool %d: %s" seed pool label)
+                    want got)
+                expected (ledger_outputs ~seed))
+            reference)
+        [ 2; 4 ])
 
 let test_proof_codecs_roundtrip () =
   (* Each ledger proof codec decodes what it encodes to the same bytes,
@@ -709,12 +581,14 @@ let test_crash_aborts_then_recovery_preserves_data () =
 
 (* --- WAL crash-replay: every truncation point, torn tails, idempotence --- *)
 
-(* A node with persistence effectively disabled: every committed write
-   lives only in the volatile map and the WAL, so recovery is pure WAL
-   replay. *)
-let mk_bare_node () =
+(* A node with no persister process: every committed write lives only in
+   the volatile map and the WAL until a test calls [persist_step], so
+   recovery is pure WAL replay.  [batching:false] is GlassDB-no-BA, one
+   block per transaction. *)
+let mk_bare_node ?(batching = true) () =
   Node.create
-    (Glassdb.Config.node (Glassdb.Config.make ~shards:1 ~persist_interval:1e9 ()))
+    (Glassdb.Config.node
+       (Glassdb.Config.make ~shards:1 ~persist_interval:1e9 ~batching ()))
     ~shard_id:0
 
 let commit_one nd i =
@@ -729,8 +603,8 @@ let commit_one nd i =
    | Txnkit.Occ.Conflict r -> Alcotest.failf "prepare %d: %s" i r);
   (Storage.Wal.last_seq (Node.wal_of nd), Node.committed_fingerprint nd)
 
-let test_wal_replay_every_truncation_point () =
-  let nd = mk_bare_node () in
+let test_wal_replay_every_truncation_point ~batching () =
+  let nd = mk_bare_node ~batching () in
   let empty_fp = Node.committed_fingerprint nd in
   (* Snapshot (last WAL seq, committed-map fingerprint) after each commit. *)
   let snaps = List.init 10 (fun i -> commit_one nd i) in
@@ -749,8 +623,8 @@ let test_wal_replay_every_truncation_point () =
     then Alcotest.failf "replay after truncate_after %d diverges" s
   done
 
-let test_wal_replay_skips_torn_record () =
-  let nd = mk_bare_node () in
+let test_wal_replay_skips_torn_record ~batching () =
+  let nd = mk_bare_node ~batching () in
   let snaps = List.init 5 (fun i -> commit_one nd i) in
   let fp_all = snd (List.nth snaps 4) in
   let fp_prefix = snd (List.nth snaps 3) in
@@ -764,8 +638,8 @@ let test_wal_replay_skips_torn_record () =
   Alcotest.(check bool) "tail really was lost" false
     (Glassdb_util.Hash.equal fp_prefix fp_all)
 
-let test_wal_replay_idempotent () =
-  let nd = mk_bare_node () in
+let test_wal_replay_idempotent ~batching () =
+  let nd = mk_bare_node ~batching () in
   let snaps = List.init 7 (fun i -> commit_one nd i) in
   let fp = snd (List.nth snaps 6) in
   Node.crash nd;
@@ -776,6 +650,108 @@ let test_wal_replay_idempotent () =
   Node.recover nd;
   Alcotest.(check bool) "second replay identical" true
     (Glassdb_util.Hash.equal (Node.committed_fingerprint nd) fp)
+
+(* --- Promises across persister steps and crash/recover --- *)
+
+let commit_txn nd tid writes =
+  let stxn = Kv.sign ~sk:"k" ~tid ~client:1 { Kv.reads = []; writes } in
+  match Node.prepare nd ~rw:stxn.Kv.rw stxn with
+  | Txnkit.Occ.Ok -> Node.commit nd tid
+  | Txnkit.Occ.Conflict r -> Alcotest.failf "prepare %s: %s" tid r
+
+let promise_verifies nd p =
+  let l = Node.ledger_of nd in
+  Ledger.verify_inclusion ~digest:(Ledger.digest l) ~key:p.Node.pr_key
+    ~value:(Some p.Node.pr_value)
+    (Ledger.prove_inclusion l p.Node.pr_key ~block:p.Node.pr_block)
+
+let test_no_ba_replay_keeps_promises () =
+  (* No-BA replay must re-queue each unpersisted transaction as one block,
+     so the recovered node builds the blocks it promised before the
+     crash. *)
+  let nd = mk_bare_node ~batching:false () in
+  let p1 = commit_txn nd "t1" [ ("a", "1"); ("b", "1") ] in
+  let p2 = commit_txn nd "t2" [ ("a", "2") ] in
+  ignore (Node.persist_step nd ~now:0.);
+  let p3 = commit_txn nd "t3" [ ("a", "3"); ("c", "3") ] in
+  let p4 = commit_txn nd "t4" [ ("c", "4") ] in
+  let fp = Node.committed_fingerprint nd in
+  Node.crash nd;
+  Node.recover nd;
+  Alcotest.(check bool) "replayed map equals pre-crash map" true
+    (Glassdb_util.Hash.equal (Node.committed_fingerprint nd) fp);
+  ignore (Node.persist nd ~now:1.);
+  Alcotest.(check int) "one block per transaction" 4 (Node.block_count nd);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s@%d verifies" p.Node.pr_key p.Node.pr_block)
+        true (promise_verifies nd p))
+    (p1 @ p2 @ p3 @ p4)
+
+(* Structural invariants after one step: every promise whose block exists
+   verifies with its value, and the flat map's rows verify against a scan
+   proof of the latest block. *)
+let check_node_invariants ~ctx nd promises =
+  let l = Node.ledger_of nd in
+  let latest = Ledger.latest_block l in
+  List.iter
+    (fun p ->
+      if p.Node.pr_block <= latest && not (promise_verifies nd p) then
+        Alcotest.failf "%s: promise %s=%s@%d does not verify" ctx p.Node.pr_key
+          p.Node.pr_value p.Node.pr_block)
+    promises;
+  if latest >= 0 then begin
+    let lo = "" and hi = "\xff" in
+    let rows = Ledger.scan l ~lo ~hi in
+    if
+      not
+        (Ledger.verify_scan ~digest:(Ledger.digest l) ~lo ~hi ~rows
+           (Ledger.prove_scan l ~lo ~hi ()))
+    then Alcotest.failf "%s: flat-map rows fail the scan proof" ctx
+  end
+
+(* Random multi-key transactions on a bare node, interleaved with
+   persister steps and crash/recover at random points. *)
+let run_promise_property ~batching ~seed =
+  let rng = Random.State.make [| 0x5eed; seed |] in
+  let nd = mk_bare_node ~batching () in
+  let promises = ref [] in
+  for step = 0 to 49 do
+    let ctx = Printf.sprintf "batching %b seed %d step %d" batching seed step in
+    (match Random.State.int rng 10 with
+     | 0 ->
+       Node.crash nd;
+       Node.recover nd
+     | 1 | 2 | 3 -> ignore (Node.persist_step nd ~now:(float_of_int step))
+     | _ ->
+       let tid = Printf.sprintf "s%d.%d" seed step in
+       let keys =
+         List.init (1 + Random.State.int rng 3) (fun _ ->
+             Printf.sprintf "p%d" (Random.State.int rng 6))
+         |> List.sort_uniq String.compare
+       in
+       promises :=
+         !promises
+         @ commit_txn nd tid (List.map (fun k -> (k, tid ^ "/" ^ k)) keys));
+    check_node_invariants ~ctx nd !promises
+  done;
+  ignore (Node.persist nd ~now:50.);
+  let latest = Node.block_count nd - 1 in
+  List.iter
+    (fun p ->
+      if p.Node.pr_block > latest || not (promise_verifies nd p) then
+        Alcotest.failf "batching %b seed %d: promise %s=%s@%d unproven after drain"
+          batching seed p.Node.pr_key p.Node.pr_value p.Node.pr_block)
+    !promises
+
+let test_seeded_promise_property () =
+  List.iter
+    (fun batching ->
+      for seed = 0 to 9 do
+        run_promise_property ~batching ~seed
+      done)
+    [ true; false ]
 
 (* --- 2PC abort-path cleanup under injected faults --- *)
 
@@ -905,17 +881,12 @@ let () =
          Alcotest.test_case "64-key batch proof beats 64 singles" `Quick test_ledger_batch_proof_acceptance;
          Alcotest.test_case "snapshot retention + rebuild" `Quick test_ledger_snapshot_retention;
          Alcotest.test_case "append-only proofs" `Quick test_ledger_append_only_proofs;
-         Alcotest.test_case "fork detection" `Quick test_ledger_append_only_detects_fork ]);
-      ("layered",
-       [ Alcotest.test_case "10-seed fold/pool equivalence" `Quick
-           test_layered_equivalence_property;
-         Alcotest.test_case "staged read-through" `Quick test_staged_read_through;
-         Alcotest.test_case "base mismatch rejected" `Quick
-           test_staged_base_mismatch_rejected;
-         Alcotest.test_case "folded block survives eviction" `Quick
-           test_folded_block_survives_snapshot_eviction;
+         Alcotest.test_case "fork detection" `Quick test_ledger_append_only_detects_fork;
          Alcotest.test_case "proof codecs roundtrip" `Quick
            test_proof_codecs_roundtrip ]);
+      ("pool",
+       [ Alcotest.test_case "10-seed pool-size equivalence" `Quick
+           test_pool_size_equivalence_property ]);
       ("transactions",
        [ Alcotest.test_case "commit and read" `Quick test_txn_commit_and_read;
          Alcotest.test_case "cross-shard atomicity" `Quick test_txn_cross_shard_atomicity;
@@ -930,10 +901,21 @@ let () =
       ("failures",
        [ Alcotest.test_case "crash, abort, recover" `Quick test_crash_aborts_then_recovery_preserves_data;
          Alcotest.test_case "replay at every truncation point" `Quick
-           test_wal_replay_every_truncation_point;
+           (test_wal_replay_every_truncation_point ~batching:true);
          Alcotest.test_case "replay skips torn record" `Quick
-           test_wal_replay_skips_torn_record;
-         Alcotest.test_case "replay idempotent" `Quick test_wal_replay_idempotent;
+           (test_wal_replay_skips_torn_record ~batching:true);
+         Alcotest.test_case "replay idempotent" `Quick
+           (test_wal_replay_idempotent ~batching:true);
+         Alcotest.test_case "no-BA replay at every truncation point" `Quick
+           (test_wal_replay_every_truncation_point ~batching:false);
+         Alcotest.test_case "no-BA replay skips torn record" `Quick
+           (test_wal_replay_skips_torn_record ~batching:false);
+         Alcotest.test_case "no-BA replay idempotent" `Quick
+           (test_wal_replay_idempotent ~batching:false);
+         Alcotest.test_case "no-BA replay keeps promised blocks" `Quick
+           test_no_ba_replay_keeps_promises;
+         Alcotest.test_case "seeded promise property" `Quick
+           test_seeded_promise_property;
          Alcotest.test_case "mid-2PC crash releases locks" `Quick
            test_mid_2pc_crash_releases_prepare_locks;
          Alcotest.test_case "partition heals, retries succeed" `Quick
