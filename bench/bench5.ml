@@ -1,17 +1,14 @@
-(* The domain-pool sweep.
+(* The serial stage-digest benchmark.
 
-   Runs the hot paths that Glassdb_util.Pool parallelizes — POS-tree batch
-   build and incremental update, multi-block batched proof assembly,
-   per-shard persistence, and the PR-1 micro/macro workloads — once per
-   pool size, and reports per-stage wall-clock speedup versus the serial
-   pool (size 1).
-
-   The headline assertion is not the speedup (which depends on the host's
-   core count) but determinism: every stage also emits a digest over its
-   outputs — ledger roots, encoded proof bytes, seeded metric blocks — and
-   the sweep fails validation unless the digests are byte-identical at
-   every pool size.  Results land in BENCH_5.json; the schema is pinned by
-   the bench5-smoke alias (see {!validate}). *)
+   Runs the library's heaviest hashing paths once — POS-tree batch build
+   and incremental update, multi-block batched proof assembly, per-shard
+   persistence, and the PR-1 micro/macro workloads — and reports each
+   stage's wall-clock time next to a digest over its outputs: ledger
+   roots, encoded proof bytes, seeded metric blocks.  The digests are the
+   contract: a change that alters any stage's output changes its digest,
+   and the regression gate (tools/benchdiff/benchgate.ml) pins them
+   against BENCH_5.gate.json.  Results land in BENCH_5.json; the schema is
+   pinned by the bench5-smoke alias (see {!validate}). *)
 
 open Glassdb_util
 open Benchkit
@@ -25,14 +22,12 @@ module Kv = Txnkit.Kv
    in formatting. *)
 open Bench1
 
-(* v4: adds a per-pool-size "granularity" section — the deterministic
-   task-sizing counters of the cost-aware pool (job/task counts, bypass
-   jobs/items, declared cost units, the work threshold).  v3 added the
-   per-pool-size "prof" section (glassdb.prof/v1) and the sampled
-   "metrics" section; v2 carried stage rows + digests only; v1 was the
-   speedup-only draft shape.  Speedup is reported, never gated: it
+(* v5: one serial run — stage rows (digest + wall_s) and the sampled
+   "metrics" section.  v4 and earlier swept domain-pool sizes and carried
+   per-size runs with speedups, "granularity" and "prof" sections; v1 was
+   the speedup-only draft shape.  Wall time is reported, never gated: it
    depends on the host, and the regression gate treats it as volatile. *)
-let schema_id = "glassdb.bench5/v4"
+let schema_id = "glassdb.bench5/v5"
 
 type scale = {
   s_keys : int;          (* keys in the POS-tree build *)
@@ -57,11 +52,11 @@ let key_of = Printf.sprintf "key-%06d"
 
 let sha_hex s = Hex.encode (Sha256.digest_string s)
 
-(* --- the five stages, at whatever global pool size is in force --- *)
+(* --- the six stages --- *)
 
 (* Each stage returns (wall seconds, digest over its deterministic
-   outputs).  Wall-clock is the only field allowed to differ between pool
-   sizes. *)
+   outputs).  Wall-clock is the only field allowed to differ between
+   runs. *)
 
 let stage_pos_build sc =
   let store = Storage.Node_store.create () in
@@ -129,8 +124,8 @@ let stage_proofs sc =
 
 let stage_persist sc =
   let cluster = Cluster.create (Config.make ~shards:sc.s_shards ()) in
-  (* Commit a backlog on every shard directly (prepare/commit are Sim-free);
-     the drain below is what Cluster.persist_all fans out. *)
+  (* Commit a backlog on every shard directly (prepare/commit are Sim-free),
+     then drain every shard with Cluster.persist_all. *)
   Array.iteri
     (fun shard nd ->
       for seq = 0 to sc.s_txns - 1 do
@@ -194,116 +189,30 @@ let run_stages ~quick () =
       ("macro", macro) ],
     metrics )
 
-(* --- the sweep --- *)
-
 let stage_names =
   [ "pos_build"; "pos_update"; "proofs"; "persist"; "micro"; "macro" ]
 
-let run ~quick ~pool_sizes () =
-  if pool_sizes = [] then invalid_arg "Bench5.run: empty pool_sizes";
-  let orig = Pool.global_size () in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Prof.disable ();
-      Pool.set_global_size orig)
-    (fun () ->
-      (* Profile the whole sweep: wall-clock timings (this is a bench, not
-         a simulation), reset per pool size so each "prof" section covers
-         exactly one size's stages. *)
-      Obs.Prof.enable ~clock:Wallclock.now_s ();
-      let runs =
-        List.map
-          (fun n ->
-            Pool.set_global_size n;
-            Obs.Prof.reset ();
-            Printf.printf "bench5: sweeping pool size %d\n%!" n;
-            let stages, metrics = run_stages ~quick () in
-            let prof =
-              Obj
-                (("pool_size", Num (float_of_int n))
-                 :: List.map
-                      (fun (k, v) -> (k, of_export v))
-                      (Obs.Export.prof_fields ()))
-            in
-            (* Task-sizing counters are pure functions of the workload,
-               the pool size and the work threshold — no wall-clock input
-               — so unlike "prof" this section is NOT volatile and the
-               regression gate pins it. *)
-            let gran =
-              let p = (Obs.Prof.snapshot ()).Obs.Prof.s_pool in
-              let num i = Num (float_of_int i) in
-              Obj
-                [ ("pool_size", num n);
-                  ("work_threshold", num Pool.work_threshold);
-                  ("jobs", num p.Obs.Prof.p_jobs);
-                  ("parallel_jobs", num p.Obs.Prof.p_parallel_jobs);
-                  ("bypass_jobs", num p.Obs.Prof.p_bypass_jobs);
-                  ("bypass_items", num p.Obs.Prof.p_bypass_items);
-                  ("tasks", num p.Obs.Prof.p_tasks);
-                  ("cost_units", num p.Obs.Prof.p_cost_units) ]
-            in
-            (n, stages, prof, gran, metrics))
-          pool_sizes
-      in
-      let metrics_digests =
-        List.map (fun (_, _, _, _, m) -> sha_hex (to_string m)) runs
-      in
-      let metrics_digest_equal =
-        match metrics_digests with
-        | [] -> true
-        | d :: rest -> List.for_all (String.equal d) rest
-      in
-      let runs = List.map (fun (n, stages, _, _, _) -> (n, stages)) runs
-      and profs = List.map (fun (_, _, p, _, _) -> p) runs
-      and grans = List.map (fun (_, _, _, g, _) -> g) runs
-      and metrics0 =
-        match runs with (_, _, _, _, m) :: _ -> m | [] -> assert false
-      in
-      let stage_row name =
-        let per_size =
-          List.map (fun (n, stages) -> (n, List.assoc name stages)) runs
-        in
-        let base_wall, base_digest =
-          match per_size with
-          | (_, r) :: _ -> r
-          | [] -> assert false
-        in
-        let digest_equal =
-          List.for_all
-            (fun (_, (_, d)) -> String.equal d base_digest)
-            per_size
-        in
-        ( digest_equal,
-          Obj
-            [ ("stage", Str name);
-              ("digest", Str base_digest);
-              ("digest_equal", Bool digest_equal);
-              ("runs",
-               Arr
-                 (List.map
-                    (fun (n, (wall, _)) ->
-                      Obj
-                        [ ("pool_size", Num (float_of_int n));
-                          ("wall_s", Num wall);
-                          ("speedup",
-                           Num (if wall > 0. then base_wall /. wall else 1.)) ])
-                    per_size)) ] )
-      in
-      let rows = List.map stage_row stage_names in
-      let all_equal = List.for_all fst rows in
-      to_string
-        (Obj
-           [ ("schema", Str schema_id);
-             ("profile", Str (if quick then "smoke" else "full"));
-             ("pool_sizes",
-              Arr (List.map (fun n -> Num (float_of_int n)) pool_sizes));
-             ("host_cores", Num (float_of_int (Domain.recommended_domain_count ())));
-             ("stages", Arr (List.map snd rows));
-             ("digests_equal", Bool all_equal);
-             ("granularity", Arr grans);
-             ("prof", Arr profs);
-             ("metrics", metrics0);
-             ("metrics_digest_equal", Bool metrics_digest_equal) ]))
+(* The fields that vary between runs and hosts; everything else in the
+   document is the deterministic contract the regression gate pins. *)
+let volatile = [ "wall_s"; "host_cores" ]
+
+let run ~quick () =
+  let stages, metrics = run_stages ~quick () in
+  to_string
+    (Obj
+       [ ("schema", Str schema_id);
+         ("profile", Str (if quick then "smoke" else "full"));
+         ("host_cores", Num (float_of_int (Domain.recommended_domain_count ())));
+         ("stages",
+          Arr
+            (List.map
+               (fun (name, (wall, digest)) ->
+                 Obj
+                   [ ("stage", Str name);
+                     ("digest", Str digest);
+                     ("wall_s", Num wall) ])
+               stages));
+         ("metrics", metrics) ])
 
 (* --- schema validation (used by the bench5-smoke alias) --- *)
 
@@ -318,19 +227,7 @@ let validate text =
        (match field "profile" j with
         | Some (Str _) -> ()
         | _ -> raise (Bad "profile"));
-       let pool_sizes =
-         match field "pool_sizes" j with
-         | Some (Arr (_ :: _ as l)) -> l
-         | _ -> raise (Bad "pool_sizes must be a non-empty array")
-       in
-       List.iter
-         (function Num n when n >= 1. -> () | _ -> raise (Bad "pool_sizes entry"))
-         pool_sizes;
        require_num j "host_cores";
-       (* The determinism contract: same bytes at every pool size. *)
-       (match field "digests_equal" j with
-        | Some (Bool true) -> ()
-        | _ -> raise (Bad "digests differ across pool sizes"));
        let stages =
          match field "stages" j with
          | Some (Arr (_ :: _ as l)) -> l
@@ -347,24 +244,7 @@ let validate text =
              (match field "digest" st with
               | Some (Str d) when String.length d > 0 -> ()
               | _ -> raise (Bad (name ^ ".digest")));
-             (match field "digest_equal" st with
-              | Some (Bool true) -> ()
-              | _ -> raise (Bad (name ^ ": digest differs across pool sizes")));
-             let runs =
-               match field "runs" st with
-               | Some (Arr (_ :: _ as l)) -> l
-               | _ -> raise (Bad (name ^ ".runs"))
-             in
-             if List.length runs <> List.length pool_sizes then
-               raise (Bad (name ^ ".runs length"));
-             List.iter
-               (fun r ->
-                 require_num r "pool_size";
-                 require_num r "wall_s";
-                 (match field "speedup" r with
-                  | Some (Num s) when s > 0. -> ()
-                  | _ -> raise (Bad (name ^ ".speedup"))))
-               runs;
+             require_num st "wall_s";
              name)
            stages
        in
@@ -372,76 +252,14 @@ let validate text =
          (fun n ->
            if not (List.mem n seen) then raise (Bad ("missing stage " ^ n)))
          stage_names;
-       (* v4: one deterministic task-sizing row per pool size. *)
-       let grans =
-         match field "granularity" j with
-         | Some (Arr l) -> l
-         | _ -> raise (Bad "granularity must be an array")
-       in
-       if List.length grans <> List.length pool_sizes then
-         raise (Bad "granularity length must match pool_sizes");
-       List.iter2
-         (fun size g ->
-           if field "pool_size" g <> Some size then
-             raise (Bad "granularity.pool_size order");
-           List.iter (require_num g)
-             [ "work_threshold"; "jobs"; "parallel_jobs"; "bypass_jobs";
-               "bypass_items"; "tasks"; "cost_units" ];
-           let num k =
-             match field k g with Some (Num n) -> n | _ -> assert false
-           in
-           if num "parallel_jobs" +. num "bypass_jobs" > num "jobs" then
-             raise (Bad "granularity: job counts inconsistent");
-           if num "cost_units" <= 0. then
-             raise (Bad "granularity.cost_units must be > 0"))
-         pool_sizes grans;
-       (* v3: one glassdb.prof/v1 section per pool size, each with
-          per-domain rows covering exactly that pool size and at least one
-          named lock (the node-store shards are always exercised). *)
-       let profs =
-         match field "prof" j with
-         | Some (Arr l) -> l
-         | _ -> raise (Bad "prof must be an array")
-       in
-       if List.length profs <> List.length pool_sizes then
-         raise (Bad "prof length must match pool_sizes");
-       List.iter2
-         (fun size p ->
-           let n =
-             match size with Num n -> int_of_float n | _ -> assert false
-           in
-           require_num p "pool_size";
-           (match field "schema" p with
-            | Some (Str "glassdb.prof/v1") -> ()
-            | _ -> raise (Bad "prof schema tag"));
-           (match field "enabled" p with
-            | Some (Bool true) -> ()
-            | _ -> raise (Bad "prof.enabled"));
-           let pool =
-             match field "pool" p with
-             | Some (Obj _ as o) -> o
-             | _ -> raise (Bad "prof.pool")
-           in
-           require_num pool "busy_s";
-           require_num pool "tasks";
-           (match field "domains" pool with
-            | Some (Arr d) when List.length d = n -> ()
-            | _ -> raise (Bad "prof.pool.domains length must equal pool_size"));
-           (match field "locks" p with
-            | Some (Arr (_ :: _)) -> ()
-            | _ -> raise (Bad "prof.locks must be non-empty")))
-         pool_sizes profs;
        (match field "metrics" j with
         | Some (Obj _ as m) -> validate_metrics m
         | _ -> raise (Bad "metrics section"));
-       (match field "metrics_digest_equal" j with
-        | Some (Bool true) -> ()
-        | _ -> raise (Bad "metrics digests differ across pool sizes"));
        Ok ()
      with Bad m -> Error m)
 
-let run_and_write ~quick ~pool_sizes ~path () =
-  let text = run ~quick ~pool_sizes () in
+let run_and_write ~quick ~path () =
+  let text = run ~quick () in
   (match validate text with
    | Ok () -> ()
    | Error m -> failwith ("bench5: generated JSON failed validation: " ^ m));

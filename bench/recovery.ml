@@ -22,11 +22,9 @@ module Client = Glassdb.Client
 (* Reuse bench1's dependency-free JSON emitter/parser. *)
 open Bench1
 
-(* v2: adds the "prof" section (glassdb.prof/v1 pool/lock profile of the
-   primary run) and samples the prof gauges into the metrics timeline; the
-   profile uses the default Sim.now clock, so the whole file stays
-   byte-deterministic.  v1 was the first version. *)
-let schema_id = "glassdb.recovery/v2"
+(* v3: drops v2's "prof" section (the pool/lock profile) and its sampled
+   glassdb.prof.* gauges.  v1 was the first version. *)
+let schema_id = "glassdb.recovery/v3"
 
 type profile = {
   shards : int;
@@ -62,11 +60,6 @@ type outcome = {
 
 let primary_run p =
   Obs.Metrics.reset ();
-  (* Profile the run with the default Sim.now clock: in virtual time the
-     pool/lock counters are seed-deterministic, and enabling after the
-     registry reset lets the sampler below record glassdb.prof.* gauge
-     timelines alongside the node gauges. *)
-  Obs.Prof.enable ();
   let crashed_shard = 0 in
   let buckets = int_of_float (Float.ceil (p.duration /. p.bucket)) in
   let commits = Array.make buckets 0 and aborts = Array.make buckets 0 in
@@ -206,10 +199,6 @@ let run ~quick () =
   let metrics =
     List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.metrics_fields ())
   in
-  let prof =
-    List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.prof_fields ())
-  in
-  Obs.Prof.disable ();
   let r = raft_run p in
   let crashes, drops, delays = o.o_fault_counters in
   let wall = Benchkit.Wallclock.now_s () in
@@ -258,7 +247,6 @@ let run ~quick () =
               ("commits_after_restart", Num (float_of_int r.ro_commits_after));
               ("leader_changed", Bool r.ro_leader_changed) ]);
          ("metrics", Obj metrics);
-         ("prof", Obj prof);
          (* Human-facing only; stripped before any determinism check. *)
          ("wallclock", Obj [ ("finished_unix_s", Num wall) ]) ])
 
@@ -337,18 +325,6 @@ let validate text =
        (match field "metrics" j with
         | Some (Obj _ as m) -> validate_metrics m
         | _ -> raise (Bad "metrics must be an object"));
-       (match field "prof" j with
-        | Some (Obj _ as p) ->
-          (match field "schema" p with
-           | Some (Str "glassdb.prof/v1") -> ()
-           | _ -> raise (Bad "prof.schema"));
-          (match field "pool" p with
-           | Some (Obj _ as pool) -> require_num pool "tasks"
-           | _ -> raise (Bad "prof.pool"));
-          (match field "locks" p with
-           | Some (Arr (_ :: _)) -> ()
-           | _ -> raise (Bad "prof.locks must be non-empty"))
-        | _ -> raise (Bad "prof must be an object"));
        Ok ()
      with Bad m -> Stdlib.Error m)
 

@@ -4,6 +4,9 @@
    - the Chrome trace-event JSON parses, carries spans for every lifecycle
      stage (execute, prepare, commit, persist, deferred-verify, audit) and
      gauge counter tracks;
+   - causal propagation: remote node-side spans (prepare) and the
+     persister's persist span carry the originating client trace_id and a
+     non-zero parent_span_id;
    - the metrics snapshot passes the same schema check the BENCH json uses
      (nonzero counters, sampled gauges, populated histograms). *)
 
@@ -84,6 +87,35 @@ let () =
     [ "execute"; "prepare"; "commit"; "persist"; "deferred-verify"; "audit" ];
   if not (List.exists (fun ev -> ph_of ev = "C") events) then
     fail "no gauge counter events in trace";
+  (* --- causal linkage --- *)
+  let arg ev k =
+    match field "args" ev with Some a -> field k a | None -> None
+  in
+  let cat_of ev = match field "cat" ev with Some (Str s) -> s | _ -> "" in
+  let spans ~cat name =
+    List.filter
+      (fun ev -> ph_of ev = "X" && name_of ev = name && cat_of ev = cat)
+      events
+  in
+  let client_traces =
+    List.filter_map (fun ev -> arg ev "trace_id") (spans ~cat:"client" "execute")
+  in
+  if client_traces = [] then fail "no execute spans with a trace_id";
+  let linked ~cat name =
+    List.exists
+      (fun ev ->
+        match (arg ev "trace_id", arg ev "parent_span_id") with
+        | Some tid, Some (Num p) when p > 0. -> List.mem tid client_traces
+        | _ -> false)
+      (spans ~cat name)
+  in
+  (* Remote server-side span and the persister's span both nest under an
+     originating client execute span: the "node" category only ever comes
+     from the server side of an RPC or the persister process. *)
+  if not (linked ~cat:"node" "prepare") then
+    fail "no remote prepare span linked to a client trace";
+  if not (linked ~cat:"node" "persist") then
+    fail "no persist span linked to a client trace";
   (match field "dropped_events" trace with
    | Some (Num 0.) -> ()
    | _ -> fail "dropped_events must be 0 for this tiny run");
@@ -92,5 +124,7 @@ let () =
    | exception Bad m -> fail ("metrics JSON malformed: " ^ m)
    | j ->
      (try validate_metrics j with Bad m -> fail ("metrics schema: " ^ m)));
-  Printf.printf "trace-smoke: %d trace events, trace + metrics schema OK\n"
+  Printf.printf
+    "trace-smoke: %d trace events, cross-node spans linked, trace + metrics \
+     schema OK\n"
     (List.length events)

@@ -26,9 +26,13 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
   if persist_interval <= 0. then invalid_arg "Config.make: persist_interval";
   if pattern_bits < 1 || pattern_bits > 20 then
     invalid_arg "Config.make: pattern_bits";
+  if queue_capacity <= 0 then invalid_arg "Config.make: queue_capacity";
+  if rtt < 0. then invalid_arg "Config.make: rtt";
+  if bandwidth <= 0. then invalid_arg "Config.make: bandwidth";
   if rpc_timeout <= 0. then invalid_arg "Config.make: rpc_timeout";
   if rpc_retries < 0 then invalid_arg "Config.make: rpc_retries";
   if retry_backoff < 0. then invalid_arg "Config.make: retry_backoff";
+  if verify_delay < 0. then invalid_arg "Config.make: verify_delay";
   let faults = match faults with Some f -> f | None -> Faults.none () in
   { shards;
     workers;

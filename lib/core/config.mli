@@ -44,8 +44,9 @@ val make :
   unit -> t
 (** Labelled smart constructor; defaults in the comments above.  Raises
     [Invalid_argument] on non-positive [shards]/[workers]/
-    [persist_interval]/[rpc_timeout], [pattern_bits] outside 1..20, or
-    negative retry settings. *)
+    [persist_interval]/[queue_capacity]/[bandwidth]/[rpc_timeout],
+    [pattern_bits] outside 1..20, or a negative [rtt], [verify_delay] or
+    retry setting. *)
 
 val default : t
 

@@ -148,9 +148,7 @@ val prove_inclusion_batch : t -> Kv.key list -> block:int -> batch_proof
     Raises [Invalid_argument] when the block does not exist. *)
 
 val prove_inclusion_batches : t -> (int * Kv.key list) list -> batch_proof list
-(** One batch proof per [(block, keys)] group, in input order.  The
-    independent per-block assemblies fan out across the domain pool
-    ({!Glassdb_util.Pool}); output is byte-identical to mapping
+(** One batch proof per [(block, keys)] group, in input order: mapping
     {!prove_inclusion_batch} over the groups.  Raises [Invalid_argument]
     when any block does not exist. *)
 

@@ -74,11 +74,6 @@ val persist : t -> now:float -> int
 val pending_blocks : t -> int
 (** Blocks a full drain would build right now. *)
 
-val persist_cost : t -> int
-(** Key + value bytes a full drain would push through the tree (0 for a
-    dead node): the [~cost] estimate for the cluster-wide parallel
-    persist. *)
-
 val persist_step : t -> now:float -> bool
 (** Build at most one block — one drained committed-map layer (at most one
     version per key), or without batching the next committed transaction;

@@ -33,15 +33,5 @@ val metrics_fields : unit -> (string * json) list
 val metrics_json : unit -> string
 (** [to_string (Obj (metrics_fields ()))]. *)
 
-val prof_fields : unit -> (string * json) list
-(** The {!Prof} snapshot as JSON fields — schema tag ["glassdb.prof/v1"],
-    ["pool"] (per-domain utilization, queue-wait histogram summary,
-    chunk-granularity counters) and ["locks"] (per-name acquire /
-    contention / wait / hold aggregates) — for embedding into a BENCH
-    report. *)
-
-val prof_json : unit -> string
-(** [to_string (Obj (prof_fields ()))]. *)
-
 val write_trace : path:string -> unit
 val write_metrics : path:string -> unit

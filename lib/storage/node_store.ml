@@ -5,15 +5,14 @@ open Glassdb_util
    so repeated fetches of hot chunks are charged as cheap cache hits rather
    than page reads.
 
-   The store is lock-sharded for domain safety: a node's first hash byte
-   picks its shard, and each shard guards its own table + LRU with a
-   {!Pool.Lock}, so pool tasks touching disjoint nodes proceed without
-   contention.  Sharding is by content hash — a pure function of the data —
-   and the parallel call sites keep all store mutation serial on the
-   submitting domain anyway (see DESIGN.md §4g), so hit/miss sequences and
-   the Work charges they produce stay deterministic.  Small caches (below
-   two LRU slots per potential shard) collapse to a single shard, which
-   preserves the exact global-LRU eviction order the accounting tests pin
+   The cache is partitioned into up to 16 shards by a node's first hash
+   byte, each with its own table and LRU and an equal share of the
+   capacity.  The partition is part of the cost model, not a concurrency
+   device: it decides which node each shard evicts, and so the hit/miss
+   sequence, the Work charges it produces and every simulated latency
+   derived from them.  A single global LRU would evict differently.
+   Small caches (below two LRU slots per potential shard) use one shard,
+   i.e. exact global-LRU eviction order, which the accounting tests pin
    down. *)
 type lru_node = {
   lkey : Hash.t;
@@ -22,7 +21,6 @@ type lru_node = {
 }
 
 type shard = {
-  lock : Pool.Lock.lock;
   table : (Hash.t, string) Hashtbl.t;
   cache : (Hash.t, lru_node) Hashtbl.t;
   s_capacity : int;
@@ -50,8 +48,7 @@ let create ?(cache_capacity = 512) () =
     Array.init n (fun i ->
         (* Spread the capacity across shards, remainder to the first. *)
         let s_capacity = (capacity / n) + (if i < capacity mod n then 1 else 0) in
-        { lock = Pool.Lock.create ~name:"node_store.shard" ();
-          table = Hashtbl.create (max 64 (1024 / n));
+        { table = Hashtbl.create (max 64 (1024 / n));
           cache = Hashtbl.create (max 16 s_capacity);
           s_capacity;
           bytes = 0;
@@ -103,82 +100,47 @@ let cache_touch s n =
 
 let put t h data =
   let s = shard_of t h in
-  let fresh =
-    Pool.Lock.with_lock s.lock (fun () ->
-        if Hashtbl.mem s.table h then begin
-          (* Content-addressed: a re-put of an existing hash is the same
-             bytes (folded hashifies re-put shared chunks).  Idempotent
-             for the node/byte counters and Work charges; only the
-             duplicate-put stat moves. *)
-          s.dup_puts <- s.dup_puts + 1;
-          false
-        end
-        else begin
-          Hashtbl.replace s.table h data;
-          s.bytes <- s.bytes + String.length data + Hash.size;
-          (* A freshly written node is hot: it joins the decoded cache. *)
-          cache_insert s h;
-          true
-        end)
-  in
-  (* Work charges go to the calling domain's own accumulators — outside
-     the lock, so held time stays minimal. *)
-  if fresh then Work.note_node_write ~bytes:(String.length data + Hash.size)
+  if Hashtbl.mem s.table h then
+    (* Content-addressed: a re-put of an existing hash is the same bytes.
+       Idempotent for the node/byte counters and Work charges; only the
+       duplicate-put stat moves. *)
+    s.dup_puts <- s.dup_puts + 1
+  else begin
+    Hashtbl.replace s.table h data;
+    s.bytes <- s.bytes + String.length data + Hash.size;
+    (* A freshly written node is hot: it joins the decoded cache. *)
+    cache_insert s h;
+    Work.note_node_write ~bytes:(String.length data + Hash.size)
+  end
 
 let get t h =
   let s = shard_of t h in
-  let result, charge =
-    Pool.Lock.with_lock s.lock (fun () ->
-        match Hashtbl.find_opt s.cache h with
-        | Some n ->
-          (* Decoded-chunk cache hit: no page fetched. *)
-          s.hits <- s.hits + 1;
-          cache_touch s n;
-          (Hashtbl.find_opt s.table h, `Cache_hit)
-        | None ->
-          s.misses <- s.misses + 1;
-          (match Hashtbl.find_opt s.table h with
-           | Some data ->
-             (* Only a fetch that actually returns a node costs a page
-                read; an absent key is answered by the (in-memory) index
-                alone. *)
-             cache_insert s h;
-             (Some data, `Page_read)
-           | None -> (None, `Nothing)))
-  in
-  (match charge with
-   | `Cache_hit -> Work.note_cache_hit ()
-   | `Page_read -> Work.note_page_read ()
-   | `Nothing -> ());
-  result
+  match Hashtbl.find_opt s.cache h with
+  | Some n ->
+    (* Decoded-chunk cache hit: no page fetched. *)
+    s.hits <- s.hits + 1;
+    cache_touch s n;
+    Work.note_cache_hit ();
+    Hashtbl.find_opt s.table h
+  | None ->
+    s.misses <- s.misses + 1;
+    (match Hashtbl.find_opt s.table h with
+     | Some data ->
+       (* Only a fetch that actually returns a node costs a page read; an
+          absent key is answered by the (in-memory) index alone. *)
+       cache_insert s h;
+       Work.note_page_read ();
+       Some data
+     | None -> None)
 
-let mem t h =
-  let s = shard_of t h in
-  Pool.Lock.with_lock s.lock (fun () -> Hashtbl.mem s.table h)
+let mem t h = Hashtbl.mem (shard_of t h).table h
 
-(* Each stat closure takes its shard's lock lexically around the access
-   (rather than sum_shards taking it around an opaque [f]) so the lock
-   discipline is evident to racecheck's R001 pass. *)
 let sum_shards t f = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
-
-let node_count t =
-  sum_shards t (fun s ->
-      Pool.Lock.with_lock s.lock (fun () -> Hashtbl.length s.table))
-
-let total_bytes t =
-  sum_shards t (fun s -> Pool.Lock.with_lock s.lock (fun () -> s.bytes))
-
-let cache_hits t =
-  sum_shards t (fun s -> Pool.Lock.with_lock s.lock (fun () -> s.hits))
-
-let cache_misses t =
-  sum_shards t (fun s -> Pool.Lock.with_lock s.lock (fun () -> s.misses))
-
-let duplicate_puts t =
-  sum_shards t (fun s -> Pool.Lock.with_lock s.lock (fun () -> s.dup_puts))
-
+let node_count t = sum_shards t (fun s -> Hashtbl.length s.table)
+let total_bytes t = sum_shards t (fun s -> s.bytes)
+let cache_hits t = sum_shards t (fun s -> s.hits)
+let cache_misses t = sum_shards t (fun s -> s.misses)
+let duplicate_puts t = sum_shards t (fun s -> s.dup_puts)
 let cache_capacity t = t.capacity
 
-let cached_nodes t =
-  sum_shards t (fun s ->
-      Pool.Lock.with_lock s.lock (fun () -> Hashtbl.length s.cache))
+let cached_nodes t = sum_shards t (fun s -> Hashtbl.length s.cache)

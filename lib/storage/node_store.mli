@@ -11,10 +11,11 @@
     read, so the simulation's cost model rewards locality the way a real
     server's node cache would.
 
-    The store is domain-safe: the table and LRU are lock-sharded by the
-    node's first hash byte (up to 16 shards, at least 32 LRU slots each;
-    small caches collapse to one shard and so keep exact global-LRU
-    eviction order).  Work charges accrue to the calling domain. *)
+    The cache is partitioned by the node's first hash byte (up to 16
+    shards, at least 32 LRU slots each; small caches use one shard and so
+    keep exact global-LRU eviction order).  Each shard evicts on its own,
+    so the partition shapes the hit/miss sequence and with it the Work
+    charges. *)
 
 open Glassdb_util
 

@@ -63,18 +63,6 @@ let pop_key t k =
     Option.map (fun e -> (e.value, e.predicted, e.tid)) e
 
 
-let pending_bytes t =
-  (* Commutative sum: iteration order cannot be observed.  Charges the key
-     once per pending version — each drained layer re-writes the key — so
-     the total tracks the bytes a full persist would push through the
-     tree. *)
-  Glassdb_util.Det.unordered_fold
-    (fun k q acc ->
-      Queue.fold
-        (fun acc e -> acc + String.length k + String.length e.value)
-        acc q)
-    t.table 0
-
 let max_depth t =
   (* Commutative max: iteration order cannot be observed. *)
   Glassdb_util.Det.unordered_fold

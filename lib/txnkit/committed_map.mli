@@ -26,11 +26,6 @@ val latest : t -> Kv.key -> (Kv.value * int * Kv.txn_id) option
 
 val pending_keys : t -> int
 
-val pending_bytes : t -> int
-(** Key + value bytes over every pending version: the work estimate a full
-    persist represents (feeds {!Glassdb_util.Pool.parallel_map}'s [~cost]
-    hook in the cluster persist sweep). *)
-
 val drain_layer : t -> (Kv.key * Kv.value * Kv.txn_id) list
 (** Pop the oldest pending version of every key — the contents of the next
     batched block.  Keys are returned sorted; empty when nothing pends. *)

@@ -33,17 +33,16 @@ val combine_feed : ((string -> unit) -> unit) -> t
 (** [combine_feed fill] is {!combine} without building the list: [fill]
     pushes each digest (or arbitrary byte fragment) in order through the
     provided callback, and the result equals [combine] over the same
-    fragments.  The feeder runs against a per-domain scratch context, so
+    fragments.  The feeder runs against a reused module-level context, so
     it may call the primitive ops ({!of_string}, {!leaf}, {!kv}, ...) —
     e.g. to memoize an item hash mid-stream — but must not call
     {!combine}, {!combine_feed} or {!digest_many}. *)
 
 val digest_many : ('a -> (string -> unit) -> unit) -> 'a array -> t array
-(** Batched raw digests through one per-domain scratch context: for each
+(** Batched raw digests through one reused context: for each
     input, the feeder pushes the full message bytes (including any domain
     tags) and the resulting array holds the plain SHA-256 of each
-    message.  {!Work} charges one hash per input — identical to the
-    serial per-input accounting.  The feeder restriction of
+    message.  {!Work} charges one hash per input.  The feeder restriction of
     {!combine_feed} applies. *)
 
 val combine_many : ('a -> (string -> unit) -> unit) -> 'a array -> t array

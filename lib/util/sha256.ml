@@ -25,10 +25,8 @@ type t = {
   mutable finalized : bool;  (* digest produced; reset before reuse *)
 }
 
-(* The FIPS 180-4 initial hash values are written out in both [init] and
-   [reset] rather than kept in a shared module-level array: a context's
-   state stays fully context-local, so reused contexts in per-domain
-   scratch slots touch no shared mutable root. *)
+(* The FIPS 180-4 initial hash values, written into a context by both
+   [init] and [reset]. *)
 let set_iv (h : int32 array) =
   h.(0) <- 0x6a09e667l;
   h.(1) <- 0xbb67ae85l;

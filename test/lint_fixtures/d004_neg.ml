@@ -1,5 +1,5 @@
-(* Fixture: D004 negative — parallelism through the sanctioned pool. *)
-let map ~cost f arr =
-  Glassdb_util.Pool.parallel_map ~cost (Glassdb_util.Pool.global ()) f arr
-let lock = Glassdb_util.Pool.Lock.create ()
+(* Fixture: D004 negative — serial maps, and reading the host's core count
+   is not spawning anything. *)
+let map f arr = Array.map f arr
+let cores () = Domain.recommended_domain_count ()
 let join_results rs = List.map (fun r -> r ()) rs

@@ -245,10 +245,7 @@ let test_ledger_append_only_detects_fork () =
     (Ledger.verify_append_only ~old_digest:fork_digests.(6)
        ~new_digest:(Ledger.digest main) p)
 
-(* --- Pool-size equivalence: ledger output is independent of the domain
-   pool size --- *)
-
-module Pool = Glassdb_util.Pool
+(* --- Golden ledger digests --- *)
 
 (* Deterministic workload with cross-batch key overlap: [n_batches] batches
    of [batch_size] distinct keys drawn from a 40-key space. *)
@@ -270,9 +267,9 @@ let mk_batches ~seed ~n_batches ~batch_size =
       done;
       (float_of_int b, List.rev !writes))
 
-(* Every output the pool could perturb, as labelled byte strings.  The
-   batch-proof groups cover all 40 keys in each of the 8 blocks, enough
-   declared cost for [prove_inclusion_batches] to take the pooled path. *)
+(* The ledger's outputs as labelled byte strings: digest, store size,
+   current proofs, history, an append-only proof and the batch proofs of
+   all 40 keys in each of the 8 blocks. *)
 let ledger_outputs ~seed =
   let store = Storage.Node_store.create () in
   let l =
@@ -305,24 +302,62 @@ let ledger_outputs ~seed =
             (Ledger.prove_inclusion_batches l
                (List.init 8 (fun b -> (b, keys)))))) ]
 
-let test_pool_size_equivalence_property () =
-  let orig = Pool.global_size () in
-  Fun.protect ~finally:(fun () -> Pool.set_global_size orig) (fun () ->
-      Pool.set_global_size 1;
-      let reference = List.init 10 (fun seed -> ledger_outputs ~seed) in
-      List.iter
-        (fun pool ->
-          Pool.set_global_size pool;
-          List.iteri
-            (fun seed expected ->
-              List.iter2
-                (fun (label, want) (_, got) ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "seed %d pool %d: %s" seed pool label)
-                    want got)
-                expected (ledger_outputs ~seed))
-            reference)
-        [ 2; 4 ])
+(* SHA-256 of each seed's labelled outputs, recorded from the earlier
+   multi-domain implementation (where pool sizes 1/2/4 agreed), so the
+   serial rewrite is pinned to byte-identical output. *)
+let golden_ledger_digests =
+  [| "0b9371f052ea4cebeb526ab946a5d5ddcd4784cf8fea53411e9ad6840b2ff04c";
+     "0f123f3ea750f3fe8d4fe0bb3cef80ea43ac4a6d43e6769e315e51f5d82cf667";
+     "01d5a3d7ef115c9eee71b05a041cc62e1b91bf20771fae0c1f2c5da3ed6a3985";
+     "e7bd3b37fe8ec65d82612498daf00b854de1f9c05a667ec076bb7a2bd6030b0b";
+     "782c97abdd0c9fadbecc45d558ced35ee44e0901faf5837ea5fdb09fa7324fa2";
+     "8eec833f6d3b07f48b96d1ce481017a8d9ce5d05ab8c565e9299296ca6449d7d";
+     "15119d5c38f9348f5a7307df4ddd45edb429e2af4861b1075a63fd85fd510333";
+     "2a24e528ec313f4a8d17f68835a1afb69c0f7ec546b6f19e33e2de3e29e5ab03";
+     "0b8434452d1098aafc48245c1a73411729ceae930a4dc76340d9d4227d8e766f";
+     "d4310d8d39722ad04bdee3fede7f3ab6ca83a5fec55e8ec8a6bcc15bdbd341db" |]
+
+let test_golden_ledger_digests () =
+  Array.iteri
+    (fun seed want ->
+      let fp =
+        String.concat "\n"
+          (List.map (fun (l, v) -> l ^ "=" ^ v) (ledger_outputs ~seed))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d ledger outputs" seed)
+        want
+        (Glassdb_util.Hex.encode (Glassdb_util.Sha256.digest_string fp)))
+    golden_ledger_digests
+
+let test_prove_inclusion_batches_maps_groups () =
+  (* One proof per group, in input order, byte-identical to proving each
+     group on its own; an unknown block anywhere raises. *)
+  let l =
+    List.fold_left
+      (fun l (time, writes) -> Ledger.append_block l ~time ~writes ~txns:[])
+      (mk_ledger ())
+      (mk_batches ~seed:3 ~n_batches:5 ~batch_size:10)
+  in
+  let groups =
+    [ (4, [ "key-01"; "key-22" ]); (0, [ "key-39" ]); (2, []);
+      (4, [ "key-22"; "key-01"; "key-01" ]) ]
+  in
+  let enc = Codec.encode_to_string Ledger.batch_proof_codec in
+  Alcotest.(check (list string)) "per-group proofs in input order"
+    (List.map (fun (block, keys) -> enc (Ledger.prove_inclusion_batch l keys ~block)) groups)
+    (List.map enc (Ledger.prove_inclusion_batches l groups));
+  let d = Ledger.digest l in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "each proof verifies" true
+        (Ledger.verify_inclusion_batch ~digest:d p))
+    (Ledger.prove_inclusion_batches l groups);
+  Alcotest.(check int) "no groups, no proofs" 0
+    (List.length (Ledger.prove_inclusion_batches l []));
+  match Ledger.prove_inclusion_batches l [ (0, [ "key-00" ]); (9, [ "key-00" ]) ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unknown block accepted"
 
 let test_proof_codecs_roundtrip () =
   (* Each ledger proof codec decodes what it encodes to the same bytes,
@@ -819,17 +854,57 @@ let test_storage_accounting () =
       Alcotest.(check bool) "blocks created" true (Cluster.total_blocks cl > 0);
       Alcotest.(check int) "100 commits" 100 (Cluster.total_commits cl))
 
+let test_persist_all_drains_live_shards () =
+  (* No persister runs: commits stay pending until persist_all, which
+     drains every live shard in one call and skips a crashed one. *)
+  let cl =
+    Cluster.create (Glassdb.Config.make ~shards:3 ~persist_interval:1e9 ())
+  in
+  Array.iteri
+    (fun sid nd ->
+      for i = 0 to 4 + sid do
+        let tid = Printf.sprintf "s%d.t%d" sid i in
+        let stxn =
+          Kv.sign ~sk:"k" ~tid ~client:1
+            { Kv.reads = []; writes = [ (Printf.sprintf "s%d.k%d" sid i, "v") ] }
+        in
+        match Node.prepare nd ~rw:stxn.Kv.rw stxn with
+        | Txnkit.Occ.Ok -> ignore (Node.commit nd tid)
+        | Txnkit.Occ.Conflict r -> Alcotest.failf "%s: %s" tid r
+      done)
+    (Cluster.nodes cl);
+  let pending = Array.map Node.pending_blocks (Cluster.nodes cl) in
+  Array.iteri
+    (fun i p -> Alcotest.(check bool) (Printf.sprintf "shard %d pending" i) true (p > 0))
+    pending;
+  Cluster.crash_node cl 2;
+  let built = Cluster.persist_all cl ~now:1. in
+  Alcotest.(check int) "blocks = live shards' backlog"
+    (pending.(0) + pending.(1)) built;
+  List.iter
+    (fun i ->
+      let nd = Cluster.node cl i in
+      Alcotest.(check int) (Printf.sprintf "shard %d drained" i) 0
+        (Node.pending_blocks nd);
+      Alcotest.(check int) (Printf.sprintf "shard %d blocks" i) pending.(i)
+        (Node.block_count nd))
+    [ 0; 1 ];
+  Alcotest.(check int) "crashed shard built nothing" 0
+    (Node.block_count (Cluster.node cl 2));
+  Alcotest.(check int) "second call finds nothing" 0
+    (Cluster.persist_all cl ~now:2.)
+
 (* --- Config validation --- *)
+
+let rejects name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | (_ : Glassdb.Config.t) -> Alcotest.failf "%s accepted" name
 
 let test_config_rejects_unrunnable_values () =
   (* A zero persist interval livelocks the persister, a negative one fails
      inside Sim.sleep, and pattern bits outside 1..20 fail later in
      Pos_tree.config: all are refused up front. *)
-  let rejects name f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | (_ : Glassdb.Config.t) -> Alcotest.failf "%s accepted" name
-  in
   List.iter
     (fun v ->
       rejects (Printf.sprintf "persist_interval %g" v) (fun () ->
@@ -840,6 +915,72 @@ let test_config_rejects_unrunnable_values () =
       rejects (Printf.sprintf "pattern_bits %d" b) (fun () ->
           Glassdb.Config.make ~pattern_bits:b ()))
     [ -1; 0; 21; 25 ]
+
+(* Each of these used to be accepted by [make] and fail (or misbehave)
+   only once the cluster ran.  The error names the field, and the
+   smallest accepted value still builds a config. *)
+let check_field_error field f =
+  Alcotest.check_raises (field ^ " named in the error")
+    (Invalid_argument ("Config.make: " ^ field))
+    (fun () -> ignore (f ()))
+
+let test_config_rejects_queue_capacity () =
+  (* Zero capacity made every Node.prepare abort the transaction. *)
+  List.iter
+    (fun c ->
+      rejects (Printf.sprintf "queue_capacity %d" c) (fun () ->
+          Glassdb.Config.make ~queue_capacity:c ()))
+    [ 0; -1 ];
+  check_field_error "queue_capacity" (fun () ->
+      Glassdb.Config.make ~queue_capacity:0 ());
+  (* Capacity 1 still commits. *)
+  let nd =
+    Node.create
+      (Glassdb.Config.node
+         (Glassdb.Config.make ~shards:1 ~persist_interval:1e9
+            ~queue_capacity:1 ()))
+      ~shard_id:0
+  in
+  let stxn =
+    Kv.sign ~sk:"k" ~tid:"t0" ~client:1
+      { Kv.reads = []; writes = [ ("q", "1") ] }
+  in
+  match Node.prepare nd ~rw:stxn.Kv.rw stxn with
+  | Txnkit.Occ.Ok ->
+    ignore (Node.commit nd "t0");
+    Alcotest.(check int) "capacity 1 commits" 1 (Node.commit_count nd)
+  | Txnkit.Occ.Conflict r -> Alcotest.failf "capacity 1 aborted: %s" r
+
+let test_config_rejects_bandwidth () =
+  (* Zero bandwidth failed later inside Net.create. *)
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "bandwidth %g" v) (fun () ->
+          Glassdb.Config.make ~bandwidth:v ()))
+    [ 0.; -0.; -1. ];
+  check_field_error "bandwidth" (fun () -> Glassdb.Config.make ~bandwidth:0. ());
+  ignore (Glassdb.Config.make ~bandwidth:1e-9 ())
+
+let test_config_rejects_rtt () =
+  (* A negative rtt failed later inside Net.create; zero is a valid
+     idealised network. *)
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "rtt %g" v) (fun () -> Glassdb.Config.make ~rtt:v ()))
+    [ -1.; -1e-9 ];
+  check_field_error "rtt" (fun () -> Glassdb.Config.make ~rtt:(-1.) ());
+  ignore (Glassdb.Config.make ~rtt:0. ())
+
+let test_config_rejects_verify_delay () =
+  (* A negative delay means nothing; zero verifies immediately. *)
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "verify_delay %g" v) (fun () ->
+          Glassdb.Config.make ~verify_delay:v ()))
+    [ -0.1; -1e-9 ];
+  check_field_error "verify_delay" (fun () ->
+      Glassdb.Config.make ~verify_delay:(-0.1) ());
+  ignore (Glassdb.Config.make ~verify_delay:0. ())
 
 let test_config_boundary_values_verify () =
   (* The extreme accepted values keep the promise: every acknowledged
@@ -883,10 +1024,12 @@ let () =
          Alcotest.test_case "append-only proofs" `Quick test_ledger_append_only_proofs;
          Alcotest.test_case "fork detection" `Quick test_ledger_append_only_detects_fork;
          Alcotest.test_case "proof codecs roundtrip" `Quick
-           test_proof_codecs_roundtrip ]);
-      ("pool",
-       [ Alcotest.test_case "10-seed pool-size equivalence" `Quick
-           test_pool_size_equivalence_property ]);
+           test_proof_codecs_roundtrip;
+         Alcotest.test_case "batch proofs map the groups" `Quick
+           test_prove_inclusion_batches_maps_groups ]);
+      ("golden",
+       [ Alcotest.test_case "10-seed golden digests" `Quick
+           test_golden_ledger_digests ]);
       ("transactions",
        [ Alcotest.test_case "commit and read" `Quick test_txn_commit_and_read;
          Alcotest.test_case "cross-shard atomicity" `Quick test_txn_cross_shard_atomicity;
@@ -921,9 +1064,19 @@ let () =
          Alcotest.test_case "partition heals, retries succeed" `Quick
            test_partition_heals_and_retries_succeed ]);
       ("accounting",
-       [ Alcotest.test_case "storage and commits" `Quick test_storage_accounting ]);
+       [ Alcotest.test_case "storage and commits" `Quick test_storage_accounting;
+         Alcotest.test_case "persist_all drains live shards" `Quick
+           test_persist_all_drains_live_shards ]);
       ("config",
        [ Alcotest.test_case "unrunnable values rejected" `Quick
            test_config_rejects_unrunnable_values;
+         Alcotest.test_case "queue_capacity <= 0 rejected" `Quick
+           test_config_rejects_queue_capacity;
+         Alcotest.test_case "bandwidth <= 0 rejected" `Quick
+           test_config_rejects_bandwidth;
+         Alcotest.test_case "negative rtt rejected" `Quick
+           test_config_rejects_rtt;
+         Alcotest.test_case "negative verify_delay rejected" `Quick
+           test_config_rejects_verify_delay;
          Alcotest.test_case "boundary values verify" `Quick
            test_config_boundary_values_verify ]) ]

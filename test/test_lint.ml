@@ -46,7 +46,8 @@ let test_rule_ids () =
   Alcotest.(check (list string)) "d001" [ "D001" ] (rules_of (fixture "d001_pos.ml"));
   Alcotest.(check (list string)) "d002" [ "D002" ] (rules_of (fixture "d002_pos.ml"));
   Alcotest.(check (list string)) "d003" [ "D003" ] (rules_of (fixture "d003_pos.ml"));
-  Alcotest.(check (list string)) "d004" [ "D004"; "D004"; "D004"; "D004" ]
+  Alcotest.(check (list string)) "d004"
+    [ "D004"; "D004"; "D004"; "D004"; "D004" ]
     (rules_of (fixture "d004_pos.ml"));
   Alcotest.(check (list string)) "s001" [ "S001"; "S001" ]
     (rules_of (fixture "s001_pos.ml"));
@@ -62,7 +63,20 @@ let test_bench_scope () =
   Alcotest.(check int) "s002 silent in bench" 0
     (List.length (lint Lint_engine.Bench (fixture "s002_pos.ml")));
   Alcotest.(check int) "d001 still fires in bench" 1
-    (List.length (lint Lint_engine.Bench (fixture "d001_pos.ml")))
+    (List.length (lint Lint_engine.Bench (fixture "d001_pos.ml")));
+  (* No scope may spawn domains or take locks, and the message says why. *)
+  let d004 = lint Lint_engine.Bench (fixture "d004_pos.ml") in
+  Alcotest.(check int) "d004 fires in bench" 5 (List.length d004);
+  List.iter
+    (fun f ->
+      let msg = f.Lint_engine.f_msg and needle = "single-domain by design" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length msg
+        && (String.equal (String.sub msg i n) needle || has (i + 1))
+      in
+      Alcotest.(check bool) "d004 message names the design" true (has 0))
+    d004
 
 let test_safe_constants () =
   (* Comparisons against literals and nullary constructors are exempt
@@ -86,6 +100,92 @@ let test_parse_error () =
   in
   Alcotest.(check (list string)) "parse failure is a finding" [ "E000" ]
     (List.map (fun f -> f.Lint_engine.f_rule) r.Lint_engine.r_findings)
+
+(* --- D004: no concurrency primitives anywhere --- *)
+
+let d004_rules ~scope ~file src =
+  List.map
+    (fun f -> f.Lint_engine.f_rule)
+    (Lint_engine.lint_source ~scope ~file src).Lint_engine.r_findings
+
+let read_fixture name =
+  In_channel.with_open_bin (fixture name) In_channel.input_all
+
+(* The code lines of d004_pos.ml, one primitive each, with their line
+   numbers. *)
+let d004_lines () =
+  List.filter
+    (fun (_, l) -> String.length l > 4 && String.equal (String.sub l 0 4) "let ")
+    (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' (read_fixture "d004_pos.ml")))
+
+(* Each primitive, linted on its own, fires exactly once in every scope:
+   the library is single-domain by design, so neither lib/ nor
+   bench/tools code may spawn or lock. *)
+let test_d004_line src () =
+  List.iter
+    (fun (label, scope, file) ->
+      Alcotest.(check (list string)) label [ "D004" ]
+        (d004_rules ~scope ~file src))
+    [ ("lib scope", Lint_engine.Lib, "lib/core/x.ml");
+      ("bench scope", Lint_engine.Bench, "bench/x.ml");
+      ("tools file", Lint_engine.Bench, "tools/x.ml") ]
+
+let d004_line_cases =
+  List.map
+    (fun (n, src) ->
+      Alcotest.test_case
+        (Printf.sprintf "d004_pos.ml line %d alone" n)
+        `Quick (test_d004_line src))
+    (d004_lines ())
+
+let test_d004_no_sanctioned_file () =
+  (* The files that once hosted the domain pool, its per-domain scratch
+     slots and counters get no exemption. *)
+  let src = read_fixture "d004_pos.ml" in
+  List.iter
+    (fun file ->
+      Alcotest.(check int) file 5
+        (List.length (d004_rules ~scope:Lint_engine.Lib ~file src)))
+    [ "lib/util/pool.ml"; "lib/util/work.ml"; "lib/util/scratch.ml" ]
+
+let test_d004_reads_not_flagged () =
+  (* Reading the core count or the current domain id, and atomics, spawn
+     and lock nothing. *)
+  Alcotest.(check (list string)) "no findings" []
+    (d004_rules ~scope:Lint_engine.Lib ~file:"lib/core/x.ml"
+       "let cores () = Domain.recommended_domain_count ()\n\
+        let me () = Domain.self ()\n\
+        let n = Atomic.make 0\n\
+        let bump () = Atomic.incr n\n")
+
+let test_d004_scan_covers_tools () =
+  (* The whole-tree scan reaches tools/ as well as lib/ and bench/. *)
+  let root = Filename.temp_dir "lint_scan" "" in
+  let write rel src =
+    let dir = Filename.concat root (Filename.dirname rel) in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Out_channel.with_open_bin (Filename.concat root rel) (fun oc ->
+        output_string oc src)
+  in
+  let files = [ "lib/ok.ml"; "lib/ok.mli"; "bench/b.ml"; "tools/t.ml" ] in
+  let bad = read_fixture "d004_pos.ml" in
+  List.iter2 write files [ "let x = 1\n"; "val x : int\n"; bad; bad ];
+  let r = Lint_engine.scan ~root ~grants:[] in
+  List.iter (fun rel -> Sys.remove (Filename.concat root rel)) files;
+  List.iter
+    (fun d -> Sys.rmdir (Filename.concat root d))
+    [ "lib"; "bench"; "tools"; "" ];
+  let count file =
+    List.length
+      (List.filter
+         (fun f ->
+           String.equal f.Lint_engine.f_file file
+           && String.equal f.Lint_engine.f_rule "D004")
+         r.Lint_engine.r_findings)
+  in
+  Alcotest.(check int) "bench findings" 5 (count "bench/b.ml");
+  Alcotest.(check int) "tools findings" 5 (count "tools/t.ml");
+  Alcotest.(check int) "nothing else" 10 (List.length r.Lint_engine.r_findings)
 
 (* --- JSON: round-trip and stability --- *)
 
@@ -172,6 +272,14 @@ let () =
           Alcotest.test_case "bench scope" `Quick test_bench_scope;
           Alcotest.test_case "safe constants" `Quick test_safe_constants;
           Alcotest.test_case "parse error" `Quick test_parse_error ] );
+      ( "d004",
+        d004_line_cases
+        @ [ Alcotest.test_case "no sanctioned file" `Quick
+              test_d004_no_sanctioned_file;
+            Alcotest.test_case "reads and atomics not flagged" `Quick
+              test_d004_reads_not_flagged;
+            Alcotest.test_case "scan covers tools" `Quick
+              test_d004_scan_covers_tools ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes round-trip" `Quick

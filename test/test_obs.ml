@@ -2,6 +2,7 @@ open Glassdb_util
 module Cluster = Glassdb.Cluster
 module Client = Glassdb.Client
 module Auditor = Glassdb.Auditor
+module Diff = Benchdiff_core.Diff
 
 (* --- Lhist bucket boundaries --- *)
 
@@ -294,6 +295,149 @@ let test_determinism () =
   Alcotest.(check string) "byte-identical traces" trace1 trace2;
   Alcotest.(check string) "byte-identical metrics" metrics1 metrics2
 
+(* --- benchdiff round-trip --- *)
+
+let doc wall =
+  Bench1.(
+    Obj
+      [ ("schema", Str "glassdb.bench5/v5");
+        ("stages",
+         Arr [ Obj [ ("stage", Str "proofs"); ("wall_s", Num wall) ] ]);
+        ("wallclock", Obj [ ("finished_unix_s", Num 1.) ]) ])
+
+let test_benchdiff_roundtrip () =
+  let r = Diff.diff (doc 1.0) (doc 1.0) in
+  Alcotest.(check int) "identical docs: no changes" 0
+    (List.length r.Diff.r_changes);
+  Alcotest.(check int) "identical docs: no regressions" 0 (Diff.regressions r);
+  let r = Diff.diff (doc 1.0) (doc 1.3) in
+  Alcotest.(check int) "slower wall_s flagged" 1 (Diff.regressions r);
+  let r = Diff.diff (doc 1.3) (doc 1.0) in
+  Alcotest.(check int) "faster wall_s not a regression" 0 (Diff.regressions r);
+  Alcotest.(check int) "but still reported" 1 (List.length r.Diff.r_changes);
+  (* wallclock is exempt, like in the determinism checks. *)
+  let with_wall t =
+    Bench1.(Obj [ ("wallclock", Obj [ ("finished_unix_s", Num t) ]) ])
+  in
+  let r = Diff.diff (with_wall 1.) (with_wall 99.) in
+  Alcotest.(check int) "wallclock ignored" 0
+    (List.length r.Diff.r_changes + Diff.regressions r);
+  (* Canonical report survives its own parser. *)
+  let text = Bench1.to_string (Diff.report_json (Diff.diff (doc 1.0) (doc 1.3))) in
+  match Bench1.parse text with
+  | exception Bench1.Bad m -> Alcotest.fail ("report does not parse: " ^ m)
+  | j ->
+    Alcotest.(check bool) "schema tag" true
+      (Bench1.field "schema" j = Some (Bench1.Str Diff.schema_id))
+
+let test_benchgate_volatile () =
+  (* The gate skips exactly the timing fields; a digest change still
+     gates. *)
+  let doc ~cores ~wall ~digest =
+    Bench1.(
+      Obj
+        [ ("host_cores", Num cores);
+          ("stages",
+           Arr
+             [ Obj
+                 [ ("stage", Str "proofs"); ("digest", Str digest);
+                   ("wall_s", Num wall) ] ]) ])
+  in
+  let diff a b = Diff.diff ~volatile:Bench5.volatile a b in
+  let base = doc ~cores:1. ~wall:0.1 ~digest:"aa" in
+  let r = diff base (doc ~cores:8. ~wall:9. ~digest:"aa") in
+  Alcotest.(check int) "wall_s and host_cores skipped" 0
+    (List.length r.Diff.r_changes + Diff.regressions r);
+  let r = diff base (doc ~cores:1. ~wall:0.1 ~digest:"bb") in
+  Alcotest.(check int) "digest change gates" 1 (Diff.regressions r)
+
+(* --- BENCH_5 schema --- *)
+
+(* A minimal document of the v5 shape; [edit] rewrites the top-level
+   fields and [row] each stage row. *)
+let bench5_doc ?(edit = Fun.id) ?(row = fun _ fields -> fields) () =
+  let metrics =
+    Bench1.(
+      Obj
+        [ ("schema", Str "glassdb.metrics/v1");
+          ("counters", Obj [ ("c", Num 1.) ]);
+          ("gauges", Obj [ ("g", Obj [ ("samples", Arr [ Arr [ Num 0.; Num 1. ] ]) ]) ]);
+          ("histograms", Obj [ ("h", Obj [ ("count", Num 1.) ]) ]);
+          ("attribution", Obj []) ])
+  in
+  Bench1.to_string
+    (Bench1.Obj
+       (edit
+          Bench1.
+            [ ("schema", Str Bench5.schema_id);
+              ("profile", Str "smoke");
+              ("host_cores", Num 2.);
+              ("stages",
+               Arr
+                 (List.map
+                    (fun name ->
+                      Obj
+                        (row name
+                           [ ("stage", Str name); ("digest", Str "d");
+                             ("wall_s", Num 0.5) ]))
+                    Bench5.stage_names));
+              ("metrics", metrics) ]))
+
+let check_rejected label text =
+  match Bench5.validate text with
+  | Ok () -> Alcotest.failf "%s accepted" label
+  | Error _ -> ()
+
+let test_bench5_accepts_v5 () =
+  Alcotest.(check string) "schema tag" "glassdb.bench5/v5" Bench5.schema_id;
+  match Bench5.validate (bench5_doc ()) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "v5 document rejected: %s" m
+
+let test_bench5_rejects_old_schema () =
+  let retag tag =
+    List.map (function
+      | "schema", _ -> ("schema", Bench1.Str tag)
+      | f -> f)
+  in
+  List.iter
+    (fun tag -> check_rejected tag (bench5_doc ~edit:(retag tag) ()))
+    [ "glassdb.bench5/v4"; "glassdb.bench5/v1"; "" ]
+
+let test_bench5_rejects_missing_stage () =
+  List.iter
+    (fun missing ->
+      let edit =
+        List.map (function
+          | "stages", Bench1.Arr rows ->
+            ( "stages",
+              Bench1.Arr
+                (List.filter
+                   (fun r -> Bench1.field "stage" r <> Some (Bench1.Str missing))
+                   rows) )
+          | f -> f)
+      in
+      check_rejected ("without " ^ missing) (bench5_doc ~edit ()))
+    Bench5.stage_names
+
+let test_bench5_rejects_bad_rows () =
+  let drop key name fields =
+    if name = "persist" then List.remove_assoc key fields else fields
+  in
+  check_rejected "row without digest" (bench5_doc ~row:(drop "digest") ());
+  check_rejected "row without wall_s" (bench5_doc ~row:(drop "wall_s") ());
+  check_rejected "empty digest"
+    (bench5_doc
+       ~row:(fun name fields ->
+         if name = "micro" then
+           ("digest", Bench1.Str "") :: List.remove_assoc "digest" fields
+         else fields)
+       ());
+  check_rejected "no metrics"
+    (bench5_doc ~edit:(List.remove_assoc "metrics") ());
+  check_rejected "no host_cores"
+    (bench5_doc ~edit:(List.remove_assoc "host_cores") ())
+
 let () =
   Alcotest.run "obs"
     [ ("lhist",
@@ -322,4 +466,18 @@ let () =
            test_spans_disabled_and_nested ]);
       ("end-to-end",
        [ Alcotest.test_case "identical runs, identical bytes" `Quick
-           test_determinism ]) ]
+           test_determinism ]);
+      ("benchdiff",
+       [ Alcotest.test_case "round-trip: empty diff, flagged regression"
+           `Quick test_benchdiff_roundtrip;
+         Alcotest.test_case "gate skips only timing fields" `Quick
+           test_benchgate_volatile ]);
+      ("bench5",
+       [ Alcotest.test_case "v5 document accepted" `Quick
+           test_bench5_accepts_v5;
+         Alcotest.test_case "older schema tags rejected" `Quick
+           test_bench5_rejects_old_schema;
+         Alcotest.test_case "missing stage rejected" `Quick
+           test_bench5_rejects_missing_stage;
+         Alcotest.test_case "incomplete rows and sections rejected" `Quick
+           test_bench5_rejects_bad_rows ]) ]

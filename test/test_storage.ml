@@ -65,6 +65,46 @@ let test_node_store_cache_accounting () =
   Alcotest.(check int) "absent: miss counted" (misses + 1)
     (Node_store.cache_misses s)
 
+(* Distinct hashes whose first byte is even: with a 64-slot cache they all
+   land in shard 0 of two. *)
+let even_hashes n =
+  let rec go i acc k =
+    if k = 0 then List.rev acc
+    else
+      let h = Hash.of_string (Printf.sprintf "node-%d" i) in
+      if Char.code h.[0] mod 2 = 0 then go (i + 1) (h :: acc) (k - 1)
+      else go (i + 1) acc k
+  in
+  go 0 [] n
+
+let test_node_store_per_shard_eviction () =
+  (* 64 slots split into two 32-slot shards by first hash byte: the 33rd
+     node of one shard evicts that shard's oldest entry although half the
+     cache is empty.  This partition is part of the cost model. *)
+  let s = Node_store.create ~cache_capacity:64 () in
+  let hs = even_hashes 33 in
+  List.iter (fun h -> Node_store.put s h "x") hs;
+  Alcotest.(check int) "one shard full" 32 (Node_store.cached_nodes s);
+  let (), c = Work.measure (fun () -> ignore (Node_store.get s (List.hd hs))) in
+  Alcotest.(check int) "oldest evicted: page read" 1 c.Work.page_reads;
+  let (), c =
+    Work.measure (fun () -> ignore (Node_store.get s (List.nth hs 32)))
+  in
+  Alcotest.(check int) "newest resident: cache hit" 1 c.Work.cache_hits
+
+let test_node_store_small_cache_single_lru () =
+  (* Below 64 slots the cache is one shard, i.e. exact global LRU: 63
+     same-parity nodes all stay resident. *)
+  let s = Node_store.create ~cache_capacity:63 () in
+  let hs = even_hashes 63 in
+  List.iter (fun h -> Node_store.put s h "x") hs;
+  Alcotest.(check int) "all resident" 63 (Node_store.cached_nodes s);
+  let (), c =
+    Work.measure (fun () -> List.iter (fun h -> ignore (Node_store.get s h)) hs)
+  in
+  Alcotest.(check int) "every fetch a hit" 63 c.Work.cache_hits;
+  Alcotest.(check int) "no page reads" 0 c.Work.page_reads
+
 (* --- WAL --- *)
 
 let test_wal_append_and_replay () =
@@ -214,7 +254,11 @@ let () =
     [ ("node_store",
        [ Alcotest.test_case "dedup" `Quick test_node_store_dedup;
          Alcotest.test_case "work accounting" `Quick test_node_store_work_accounting;
-         Alcotest.test_case "cache accounting" `Quick test_node_store_cache_accounting ]);
+         Alcotest.test_case "cache accounting" `Quick test_node_store_cache_accounting;
+         Alcotest.test_case "eviction is per shard" `Quick
+           test_node_store_per_shard_eviction;
+         Alcotest.test_case "small cache is one LRU" `Quick
+           test_node_store_small_cache_single_lru ]);
       ("wal",
        [ Alcotest.test_case "append and replay" `Quick test_wal_append_and_replay;
          Alcotest.test_case "truncate_after" `Quick test_wal_truncate_after;

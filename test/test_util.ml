@@ -184,6 +184,74 @@ let test_hash_digest_many () =
             push y)
           pairs))
 
+(* [Work.hashes] counts digests: one per primitive or combine call,
+   whatever the input length, and one per input of a batch. *)
+let test_hash_counts_digests () =
+  let hashes f = (snd (Work.measure f)).Work.hashes in
+  Alcotest.(check int) "10 KiB of_string" 1
+    (hashes (fun () -> ignore (Hash.of_string (String.make 10_240 'x'))));
+  Alcotest.(check int) "leaf" 1 (hashes (fun () -> ignore (Hash.leaf "a")));
+  Alcotest.(check int) "kv" 1 (hashes (fun () -> ignore (Hash.kv "k" "v")));
+  Alcotest.(check int) "interior" 1
+    (hashes (fun () -> ignore (Hash.interior Hash.empty Hash.empty)));
+  Alcotest.(check int) "combine of 50 digests" 1
+    (hashes (fun () -> ignore (Hash.combine (List.init 50 (fun _ -> Hash.empty)))));
+  Alcotest.(check int) "digest_many of 9" 9
+    (hashes (fun () ->
+         ignore (Hash.digest_many (fun s push -> push s) (Array.make 9 "m"))));
+  Alcotest.(check int) "combine_many of 4" 4
+    (hashes (fun () ->
+         ignore (Hash.combine_many (fun s push -> push s) (Array.make 4 "m"))))
+
+exception Feeder_failed
+
+(* The module-level contexts are reset on entry, so a feeder that raises
+   half-way leaves no state behind for the next digest. *)
+let test_hash_feeder_exception () =
+  let raises f =
+    match f () with
+    | exception Feeder_failed -> ()
+    | _ -> Alcotest.fail "feeder exception swallowed"
+  in
+  raises (fun () ->
+      Hash.combine_feed (fun push ->
+          push "partial";
+          raise Feeder_failed));
+  Alcotest.(check string) "combine_feed after a failed feed"
+    (Hex.encode (Sha256.digest_string "\x02ab"))
+    (Hex.encode (Hash.combine_feed (fun push -> push "a"; push "b")));
+  raises (fun () ->
+      Hash.digest_many
+        (fun i push ->
+          push "x";
+          if i = 1 then raise Feeder_failed)
+        [| 0; 1; 2 |]);
+  Alcotest.(check (array string)) "digest_many after a failed batch"
+    [| Hex.encode (Sha256.digest_string "y") |]
+    (Array.map Hex.encode (Hash.digest_many (fun s push -> push s) [| "y" |]));
+  raises (fun () ->
+      Hash.combine_feed (fun _ ->
+          ignore (Hash.leaf "inner");
+          raise Feeder_failed));
+  Alcotest.(check string) "primitive after a failed feed"
+    (Hex.encode (Sha256.digest_string "\x00z"))
+    (Hex.encode (Hash.leaf "z"))
+
+(* combine_many feeders may memoize item hashes through the primitive ops
+   mid-stream, exactly like combine_feed feeders. *)
+let test_hash_combine_many_primitives () =
+  let items = [| ("a", "1"); ("b", "2"); ("c", "3") |] in
+  Alcotest.(check (array string)) "primitive calls inside a batch feeder"
+    (Array.map
+       (fun (k, v) -> Hex.encode (Hash.combine [ Hash.leaf k; Hash.kv k v ]))
+       items)
+    (Array.map Hex.encode
+       (Hash.combine_many
+          (fun (k, v) push ->
+            push (Hash.leaf k);
+            push (Hash.kv k v))
+          items))
+
 (* --- Codec --- *)
 
 let prop_varint_roundtrip =
@@ -340,6 +408,54 @@ let test_work_measure () =
   Alcotest.(check int) "node write" 1 c2.Work.node_writes;
   Alcotest.(check int) "bytes" 100 c2.Work.bytes_written
 
+let test_work_reset () =
+  Work.note_hash ~n:3 ();
+  Work.note_page_read ();
+  Work.note_cache_hit ~n:2 ();
+  Work.note_node_write ~bytes:7;
+  Work.reset ();
+  Alcotest.(check bool) "reset zeroes every counter" true
+    (Work.snapshot () = Work.zero);
+  Work.note_page_read ~n:4 ();
+  Alcotest.(check int) "counting resumes from zero" 4
+    (Work.snapshot ()).Work.page_reads
+
+let test_work_add_sub () =
+  let a =
+    { Work.hashes = 5; node_writes = 4; bytes_written = 300; page_reads = 2;
+      cache_hits = 1 }
+  and b =
+    { Work.hashes = 1; node_writes = 2; bytes_written = 100; page_reads = 2;
+      cache_hits = 0 }
+  in
+  Alcotest.(check bool) "sub (add a b) b = a" true (Work.sub (Work.add a b) b = a);
+  Alcotest.(check bool) "add zero is identity" true (Work.add a Work.zero = a);
+  let d = Work.sub a b in
+  Alcotest.(check (list int)) "componentwise difference" [ 4; 2; 200; 0; 1 ]
+    [ d.Work.hashes; d.Work.node_writes; d.Work.bytes_written;
+      d.Work.page_reads; d.Work.cache_hits ]
+
+let test_work_attribution_switch () =
+  Work.set_attribution false;
+  Work.reset_attribution ();
+  Alcotest.(check bool) "off" false (Work.attribution_enabled ());
+  Work.with_component "c" (fun () -> Work.note_hash ());
+  Alcotest.(check int) "nothing attributed while off" 0
+    (List.length (Work.attribution ()));
+  Work.set_attribution true;
+  Work.with_component "c" (fun () -> Work.note_hash ~n:2 ());
+  Alcotest.(check (list (pair string int))) "attributed while on" [ ("c", 2) ]
+    (List.map (fun (c, w) -> (c, w.Work.hashes)) (Work.attribution ()));
+  (* Switching off keeps the accumulated totals; only reset clears them. *)
+  Work.set_attribution false;
+  Work.set_attribution true;
+  Alcotest.(check (list string)) "totals survive a toggle" [ "c" ]
+    (List.map fst (Work.attribution ()));
+  Work.reset_attribution ();
+  Alcotest.(check int) "reset_attribution clears totals" 0
+    (List.length (Work.attribution ()));
+  Work.set_attribution false
+
 (* --- Lhist --- *)
 
 (* Merging two histograms is bucket-exact: the merged bucket list equals
@@ -448,213 +564,6 @@ let test_rng_split_n () =
   Alcotest.check_raises "negative" (Invalid_argument "Rng.split_n") (fun () ->
       ignore (Rng.split_n a (-1)))
 
-(* --- Pool --- *)
-
-let with_pool n f =
-  let p = Pool.create n in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-(* One threshold's worth of declared cost per item: any batch of two or
-   more items clears the bypass, so sizes > 1 take the parallel path. *)
-let heavy _ = Pool.work_threshold
-
-(* Run [g] with a profiler that keeps the last top-level job sample, to
-   observe how the pool sized (or bypassed) a map. *)
-let with_job_sample g =
-  let last = ref None in
-  Pool.set_profiler
-    (Some
-       { Pool.pr_clock = (fun () -> 0.);
-         pr_on_job = (fun j -> last := Some j);
-         pr_on_nested_inline = ignore });
-  let r = Fun.protect ~finally:(fun () -> Pool.set_profiler None) g in
-  match !last with
-  | Some j -> (r, j)
-  | None -> Alcotest.fail "no job sample reported"
-
-let test_pool_map_matches_serial () =
-  (* Cost shapes that give one item per task, a run of cheap items
-     sharing a task next to a huge one with its own, irregular task
-     sizes, and a whole-batch bypass. *)
-  let input = Array.init 101 (fun i -> i) in
-  let f i = i * i in
-  let expected = Array.map f input in
-  let costs =
-    [ ("uniform", heavy);
-      ("one huge item",
-       fun i -> if i = 50 then 100 * Pool.work_threshold else 100);
-      ("irregular", fun i -> i * 7919 mod (2 * Pool.work_threshold));
-      ("free", fun _ -> 0) ]
-  in
-  List.iter
-    (fun n ->
-      with_pool n (fun p ->
-          List.iter
-            (fun (name, cost) ->
-              Alcotest.(check (array int))
-                (Printf.sprintf "size %d, %s" n name)
-                expected
-                (Pool.parallel_map ~cost p f input))
-            costs))
-    [ 1; 2; 4 ]
-
-let test_pool_cost_map () =
-  (* Results and Work accounting equal the serial map at every pool size
-     for batches whose total cost straddles the constant threshold: just
-     below it the pool is bypassed, just above it the batch fits one task
-     (inline, not a bypass), and at twice the threshold it splits. *)
-  let input = Array.init 101 (fun i -> String.make (i * 13 mod 64) 'x') in
-  let f s =
-    ignore (Hash.of_string s);
-    String.length s
-  in
-  let expected, serial_work = Work.measure (fun () -> Array.map f input) in
-  let per_item = (Pool.work_threshold / Array.length input) + 1 in
-  let cases =
-    (* (per-item cost, bypass, tasks at sizes > 1) *)
-    [ (per_item - 1, true, 1); (per_item, false, 1); (2 * per_item, false, 2) ]
-  in
-  List.iter
-    (fun (c, bypass, tasks) ->
-      List.iter
-        (fun n ->
-          with_pool n (fun p ->
-              let (got, work), j =
-                with_job_sample (fun () ->
-                    Work.measure (fun () ->
-                        Pool.parallel_map ~cost:(fun _ -> c) p f input))
-              in
-              let label = Printf.sprintf "size %d, cost %d" n c in
-              Alcotest.(check (array int)) label expected got;
-              Alcotest.(check int) ("hashes at " ^ label)
-                serial_work.Work.hashes work.Work.hashes;
-              Alcotest.(check int) ("declared cost at " ^ label)
-                (c * Array.length input) j.Pool.js_cost;
-              Alcotest.(check bool) ("bypass at " ^ label) bypass
-                j.Pool.js_bypass;
-              Alcotest.(check int) ("tasks at " ^ label)
-                (if n = 1 then 1 else tasks)
-                j.Pool.js_tasks))
-        [ 1; 2; 4 ])
-    cases
-
-let test_pool_claim_batching () =
-  (* Many more tasks than domains: drain claims runs of tasks per atomic
-     op, and results must still come back in submission order. *)
-  with_pool 4 (fun p ->
-      let n = 320 in
-      let got, j =
-        with_job_sample (fun () ->
-            Pool.parallel_map ~cost:heavy p Fun.id (Array.init n Fun.id))
-      in
-      Alcotest.(check int) "32 tasks: claimed in runs of 2" 32 j.Pool.js_tasks;
-      Alcotest.(check (array int)) "claimed runs preserve order"
-        (Array.init n Fun.id) got)
-
-let test_pool_map_order () =
-  with_pool 4 (fun p ->
-      Alcotest.(check (array string))
-        "results in submission order"
-        [| "a"; "b"; "c"; "d"; "e" |]
-        (Pool.parallel_map ~cost:heavy p Fun.id
-           [| "a"; "b"; "c"; "d"; "e" |]))
-
-let test_pool_exception () =
-  with_pool 2 (fun p ->
-      Alcotest.check_raises "first submission-order raise wins"
-        (Invalid_argument "task 3") (fun () ->
-          ignore
-            (Pool.parallel_map ~cost:heavy p
-               (fun i ->
-                 if i >= 3 then invalid_arg (Printf.sprintf "task %d" i);
-                 i)
-               (Array.init 8 (fun i -> i)))))
-
-let test_pool_work_merge () =
-  (* The Work counters measured around a parallel map equal the serial
-     measurement: captures absorb in submission order. *)
-  let body i =
-    Work.note_node_write ~bytes:(i * 10);
-    ignore (Hash.of_string (string_of_int i));
-    i
-  in
-  let input = Array.init 64 (fun i -> i) in
-  let expected, serial_work =
-    Work.measure (fun () -> Array.map body input)
-  in
-  List.iter
-    (fun n ->
-      with_pool n (fun p ->
-          let got, work =
-            Work.measure (fun () -> Pool.parallel_map ~cost:heavy p body input)
-          in
-          Alcotest.(check (array int))
-            (Printf.sprintf "values at size %d" n)
-            expected got;
-          Alcotest.(check int)
-            (Printf.sprintf "hashes at size %d" n)
-            serial_work.Work.hashes work.Work.hashes;
-          Alcotest.(check int)
-            (Printf.sprintf "bytes at size %d" n)
-            serial_work.Work.bytes_written work.Work.bytes_written))
-    [ 1; 2; 4 ]
-
-let test_pool_attribution_merge () =
-  (* Attribution accrued inside tasks lands in the submitting domain's
-     table, identical to the serial nesting. *)
-  let body i =
-    Work.with_component "postree" (fun () -> Work.note_hash ~n:(i + 1) ());
-    i
-  in
-  let input = Array.init 16 (fun i -> i) in
-  let serial_attr =
-    Work.set_attribution true;
-    ignore (Array.map body input);
-    let a = Work.attribution () in
-    Work.set_attribution false;
-    Work.reset_attribution ();
-    a
-  in
-  with_pool 4 (fun p ->
-      Work.set_attribution true;
-      ignore (Pool.parallel_map ~cost:heavy p body input);
-      let got = Work.attribution () in
-      Work.set_attribution false;
-      Work.reset_attribution ();
-      Alcotest.(check int) "one component" 1 (List.length got);
-      List.iter2
-        (fun (cs, sw) (cg, gw) ->
-          Alcotest.(check string) "component" cs cg;
-          Alcotest.(check int) "hashes" sw.Work.hashes gw.Work.hashes)
-        serial_attr got)
-
-let test_pool_nested_inline () =
-  (* A task that itself calls parallel_map must not deadlock: nested
-     submissions run inline on the task's domain, without consulting
-     their cost hook. *)
-  with_pool 2 (fun p ->
-      let got =
-        Pool.parallel_map ~cost:heavy p
-          (fun i ->
-            Array.fold_left ( + ) 0
-              (Pool.parallel_map
-                 ~cost:(fun _ -> failwith "nested cost consulted")
-                 p
-                 (fun j -> i + j)
-                 (Array.init 4 (fun j -> j))))
-          (Array.init 6 (fun i -> i))
-      in
-      Alcotest.(check (array int)) "nested totals"
-        (Array.init 6 (fun i -> (4 * i) + 6))
-        got)
-
-let test_pool_shutdown_inline () =
-  let p = Pool.create 2 in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  Alcotest.(check (array int)) "after shutdown runs inline" [| 1; 2 |]
-    (Pool.parallel_map ~cost:heavy p Fun.id [| 1; 2 |])
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -678,7 +587,13 @@ let () =
          Alcotest.test_case "kv unambiguous" `Quick test_hash_kv_unambiguous;
          Alcotest.test_case "combine_feed streams" `Quick
            test_hash_combine_feed;
-         Alcotest.test_case "batched digests" `Quick test_hash_digest_many ]);
+         Alcotest.test_case "batched digests" `Quick test_hash_digest_many;
+         Alcotest.test_case "hashes count digests" `Quick
+           test_hash_counts_digests;
+         Alcotest.test_case "feeder exception leaves contexts clean" `Quick
+           test_hash_feeder_exception;
+         Alcotest.test_case "primitives inside batch feeders" `Quick
+           test_hash_combine_many_primitives ]);
       ("codec",
        [ Alcotest.test_case "malformed input" `Quick test_codec_malformed;
          Alcotest.test_case "trailing bytes" `Quick test_codec_trailing ]
@@ -707,17 +622,11 @@ let () =
          Alcotest.test_case "merge incompatible geometry" `Quick
            test_lhist_merge_incompatible ]);
       ("work",
-       [ Alcotest.test_case "measure" `Quick test_work_measure ]);
+       [ Alcotest.test_case "measure" `Quick test_work_measure;
+         Alcotest.test_case "reset" `Quick test_work_reset;
+         Alcotest.test_case "add and sub" `Quick test_work_add_sub;
+         Alcotest.test_case "attribution switch" `Quick
+           test_work_attribution_switch ]);
       ("pool",
-       [ Alcotest.test_case "map matches serial" `Quick test_pool_map_matches_serial;
-         Alcotest.test_case "cost-aware map matches serial" `Quick
-           test_pool_cost_map;
-         Alcotest.test_case "claim batching preserves order" `Quick
-           test_pool_claim_batching;
-         Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
-         Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-         Alcotest.test_case "work counter merge" `Quick test_pool_work_merge;
-         Alcotest.test_case "attribution merge" `Quick test_pool_attribution_merge;
-         Alcotest.test_case "nested runs inline" `Quick test_pool_nested_inline;
-         Alcotest.test_case "shutdown degrades to inline" `Quick
-           test_pool_shutdown_inline ]) ]
+       [ Alcotest.test_case "global_size is 1" `Quick (fun () ->
+             Alcotest.(check int) "single domain" 1 (Pool.global_size ())) ]) ]

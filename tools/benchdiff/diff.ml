@@ -12,8 +12,8 @@
    over them.
 
    The "wallclock" block is skipped (it is the one section the BENCH
-   schemas allow to differ between identical runs).  Everything else,
-   including the glassdb.prof/v1 sections, participates.
+   schemas allow to differ between identical runs).  Everything else
+   participates.
 
    Arrays of objects are aligned by a key field when every element of
    both sides carries a unique "stage" or "name" string (the BENCH stage
@@ -48,13 +48,13 @@ type direction = Higher_better | Lower_better | Neutral
 
 let higher_better_keys =
   [ "speedup"; "ops_per_sec"; "throughput_tps"; "commits"; "cache_hits";
-    "hit_ratio"; "utilization"; "commits_before_crash";
-    "commits_during_crash"; "commits_after_restart" ]
+    "hit_ratio"; "commits_before_crash"; "commits_during_crash";
+    "commits_after_restart" ]
 
 let lower_better_keys =
   [ "aborts"; "failures"; "retries"; "rpc_retries"; "coordinator_aborts";
     "verification_failures"; "drops"; "delays"; "crashes"; "dropped_events";
-    "page_reads"; "hashes"; "contended"; "nested_inline_jobs" ]
+    "page_reads"; "hashes" ]
 
 let has_suffix s suf =
   let ls = String.length s and lf = String.length suf in

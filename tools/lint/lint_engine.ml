@@ -35,10 +35,9 @@ let rules =
      "no unordered Hashtbl.iter/fold/to_seq; drain through \
       Glassdb_util.Det (sorted_bindings / unordered_fold) or annotate");
     ("D004",
-     "no ambient Domain.spawn / Domain.join / Thread.create / Mutex.create \
-      / Condition.create; all parallelism and locking routes through \
-      Glassdb_util.Pool (lib/util/pool), whose deterministic joins keep \
-      parallel runs byte-identical to serial ones");
+     "no Domain.spawn / Domain.join / Thread.create / Mutex.create / \
+      Condition.create; the library is single-domain by design (shards are \
+      Sim coroutines), so no file is exempt");
     ("S001",
      "no polymorphic =/<>/compare in lib/; use String.equal, Int.compare, \
       Hash.equal or a type-specific comparator");
@@ -189,10 +188,9 @@ let check_ident ctx (loc : Location.t) lid =
   else if List.mem name ambient_domain_idents then
     add_finding ctx loc "D004"
       (Printf.sprintf
-         "ambient concurrency primitive %s; route parallelism through \
-          Glassdb_util.Pool.parallel_map and locking through \
-          Pool.Lock — lib/util/pool is the one sanctioned home of raw \
-          domains and mutexes"
+         "concurrency primitive %s; the library is single-domain by design \
+          — shards are Sim coroutines on one domain, so there is nothing \
+          to spawn or lock"
          name)
   else begin
     match ctx.c_scope with

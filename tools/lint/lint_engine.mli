@@ -3,7 +3,7 @@
 
 type scope =
   | Lib    (** lib/: all rules, including S001/S002 *)
-  | Bench  (** bench/ and bin/: determinism rules (D001–D003) only *)
+  | Bench  (** bench/, bin/ and tools/: determinism rules (D001–D004) only *)
 
 type finding = {
   f_file : string;
@@ -31,18 +31,6 @@ val lint_source : scope:scope -> file:string -> string -> report
 val lint_file : scope:scope -> string -> report
 (** [lint_source] over the contents of a file on disk. *)
 
-type sexp = Atom of string | List of sexp list
-
-val parse_sexps : string -> sexp list
-(** The minimal s-expression reader behind {!load_grants} (atoms, quoted
-    strings, lists, [;] comments), shared with racecheck's
-    lockorder.sexp. Raises [Failure] on malformed input. *)
-
-val walk_mls : string -> string -> string list
-(** [walk_mls dir rel]: every .ml under [dir] as paths relative to it
-    (prefixed with [rel] when non-empty), skipping dot-directories and
-    _build; deterministic order. *)
-
 type grant = { g_file : string; g_rule : string; g_reason : string }
 
 val load_grants : string -> grant list
@@ -56,8 +44,8 @@ val apply_grants : grant list -> report -> report
     prefix, or basename suffix) into [r_suppressed]. *)
 
 val scan : root:string -> grants:grant list -> report
-(** Lint every .ml under [root]/lib (Lib scope), [root]/bench and
-    [root]/bin (Bench scope), plus the H001 .mli-presence check over
+(** Lint every .ml under [root]/lib (Lib scope), [root]/bench,
+    [root]/bin and [root]/tools (Bench scope), plus the H001 .mli-presence check over
     lib/; findings carry repo-relative paths. *)
 
 type fixture_result = { x_name : string; x_ok : bool; x_detail : string }
