@@ -14,63 +14,8 @@
 
 open Glassdb_util
 open Benchkit
+open Obs.Export
 module Ledger = Glassdb.Ledger
-
-(* --- tiny JSON emitter (no external dependency) --- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else if Float.is_finite f then
-      Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    else Buffer.add_string buf "null"
-  | Str s ->
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  | Arr l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf v)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf (Str k);
-        Buffer.add_char buf ':';
-        emit buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string j =
-  let buf = Buffer.create 4096 in
-  emit buf j;
-  Buffer.contents buf
 
 (* --- tiny JSON parser (for the smoke-test schema check) --- *)
 
@@ -182,15 +127,6 @@ let parse s =
 
 (* v2: adds the "metrics" section (Obs registry snapshot of the macro run). *)
 let schema_id = "glassdb.bench1/v2"
-
-let rec of_export (j : Obs.Export.json) =
-  match j with
-  | Obs.Export.Null -> Null
-  | Obs.Export.Bool b -> Bool b
-  | Obs.Export.Num f -> Num f
-  | Obs.Export.Str s -> Str s
-  | Obs.Export.Arr l -> Arr (List.map of_export l)
-  | Obs.Export.Obj l -> Obj (List.map (fun (k, v) -> (k, of_export v)) l)
 
 let key_of i = Printf.sprintf "key-%06d" i
 
@@ -349,9 +285,7 @@ let run ~quick () =
   let macro = macro_run ~quick in
   (* The driver resets the Obs registry at run start, so this snapshot
      covers exactly the macro run above. *)
-  let metrics =
-    List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.metrics_fields ())
-  in
+  let metrics = Obs.Export.metrics_fields () in
   to_string
     (Obj
        [ ("schema", Str schema_id);

@@ -21,6 +21,7 @@ module Kv = Txnkit.Kv
 (* Reuse bench1's JSON emitter/parser so the two BENCH files cannot drift
    in formatting. *)
 open Bench1
+open Obs.Export
 
 (* v5: one serial run — stage rows (digest + wall_s) and the sampled
    "metrics" section.  v4 and earlier swept domain-pool sizes and carried
@@ -179,7 +180,7 @@ let run_stages ~quick () =
   (* The driver resets the Obs registry at macro-run start, so this
      snapshot covers exactly the macro stage above. *)
   let metrics =
-    Obj (List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.metrics_fields ()))
+    Obj (Obs.Export.metrics_fields ())
   in
   ( [ ("pos_build", build);
       ("pos_update", update);

@@ -21,6 +21,7 @@ module Client = Glassdb.Client
 
 (* Reuse bench1's dependency-free JSON emitter/parser. *)
 open Bench1
+open Obs.Export
 
 (* v3: drops v2's "prof" section (the pool/lock profile) and its sampled
    glassdb.prof.* gauges.  v1 was the first version. *)
@@ -196,9 +197,7 @@ let raft_run p =
 let run ~quick () =
   let p = profile ~quick in
   let o = primary_run p in
-  let metrics =
-    List.map (fun (k, v) -> (k, of_export v)) (Obs.Export.metrics_fields ())
-  in
+  let metrics = Obs.Export.metrics_fields () in
   let r = raft_run p in
   let crashes, drops, delays = o.o_fault_counters in
   let wall = Benchkit.Wallclock.now_s () in

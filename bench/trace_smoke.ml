@@ -47,6 +47,7 @@ let run_workload () =
 let () =
   run_workload ();
   let open Bench1 in
+  let open Obs.Export in
   (* --- trace shape --- *)
   let trace =
     match parse (Obs.Export.trace_json ()) with

@@ -17,10 +17,6 @@ type result = {
   r_failures : int;
 }
 
-let pp_result fmt r =
-  Format.fprintf fmt "%-22s %10.0f txn/s  commits=%d aborts=%d (%.1f%%)"
-    r.r_name r.r_throughput r.r_commits r.r_aborts (100. *. r.r_abort_rate)
-
 type setup = {
   sys : System.sysdef;
   params : System.params;

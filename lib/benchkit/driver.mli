@@ -24,8 +24,6 @@ type result = {
   r_failures : int;              (** failed proof checks; must be 0 *)
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 type setup = {
   sys : System.sysdef;
   params : System.params;

@@ -26,7 +26,6 @@ type config = {
 val default_config : config
 
 val key_of : int -> Kv.key
-val value_of : Rng.t -> config -> Kv.value
 
 val load : System.client -> config -> unit
 (** Populate all records through ordinary transactions (100 keys each). *)

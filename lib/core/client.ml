@@ -356,81 +356,64 @@ let verified_put t key value =
       { due = Sim.now () +. t.verify_delay; promise } :: t.pending;
     Ok promise
 
-let check_read t shard key expected ~from (vr : Node.verified_read) ~current =
+(* One verified read: a proof-carrying RPC to the key's shard, then the
+   append-only check that advances the cached digest and the value proof
+   ([current] demands the digest's own latest block).  [name] is both the
+   span name and the retry label; [none] is the error for a [None] reply. *)
+let verified_read t key ~name ~req_bytes ~none ~current read =
+  Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~name @@ fun vctx ->
+  let shard = Cluster.shard_of_key t.cluster key in
+  let from = t.digests.(shard) in
   let started = Sim.now () in
-  let ok, _cost =
-    Cost.charged_time Cost.default (fun () ->
-        let append_ok =
-          advance_digest t shard ~from ~proof:vr.Node.vr_append
-            vr.Node.vr_digest
-        in
-        let d = vr.Node.vr_digest in
-        let value_ok =
-          if current then
-            Ledger.verify_current ~digest:d ~key ~value:vr.Node.vr_value
+  match
+    with_retry t ~ctx:vctx ~label:name (fun () ->
+        Cluster.call t.cluster ~timeout:t.rpc_timeout ~ctx:vctx ~shard
+          ~req_bytes:(String.length key + req_bytes)
+          ~resp_bytes:(fun r ->
+            match r with
+            | Some vr ->
+              Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
+              + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append + 64
+            | None -> 16)
+          (fun nd -> read nd ~from))
+  with
+  | Error e -> Error e
+  | Ok None -> Error (Error.Unavailable none)
+  | Ok (Some (vr : Node.verified_read)) ->
+    let ok, _cost =
+      Cost.charged_time Cost.default (fun () ->
+          let append_ok =
+            advance_digest t shard ~from ~proof:vr.Node.vr_append
+              vr.Node.vr_digest
+          in
+          let verify =
+            if current then Ledger.verify_current else Ledger.verify_inclusion
+          in
+          let value_ok =
+            verify ~digest:vr.Node.vr_digest ~key ~value:vr.Node.vr_value
               vr.Node.vr_proof
-          else
-            Ledger.verify_inclusion ~digest:d ~key ~value:vr.Node.vr_value
-              vr.Node.vr_proof
-        in
-        append_ok && value_ok)
-  in
-  if not ok then t.failures <- t.failures + 1;
-  ignore expected;
-  { v_ok = ok;
-    v_proof_bytes =
-      Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
-      + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append;
-    v_latency = Sim.now () -. started;
-    v_keys = 1 }
+          in
+          append_ok && value_ok)
+    in
+    if not ok then t.failures <- t.failures + 1;
+    Ok
+      ( vr.Node.vr_value,
+        { v_ok = ok;
+          v_proof_bytes =
+            Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
+            + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append;
+          v_latency = Sim.now () -. started;
+          v_keys = 1 } )
 
 let verified_get_latest t key =
-  Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~name:"verified-get"
-  @@ fun vctx ->
-  let shard = Cluster.shard_of_key t.cluster key in
-  let from = t.digests.(shard) in
-  let started = Sim.now () in
-  match
-    with_retry t ~ctx:vctx ~label:"verified-get" (fun () ->
-        Cluster.call t.cluster ~timeout:t.rpc_timeout ~ctx:vctx ~shard ~req_bytes:(String.length key + 64)
-          ~resp_bytes:(fun r ->
-            match r with
-            | Some vr ->
-              Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
-              + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append + 64
-            | None -> 16)
-          (fun nd -> Node.get_verified_latest nd key ~from))
-  with
-  | Error e -> Error e
-  | Ok None -> Error (Error.Unavailable "nothing persisted yet")
-  | Ok (Some vr) ->
-    let v = check_read t shard key vr.Node.vr_value ~from vr ~current:true in
-    let v = { v with v_latency = Sim.now () -. started } in
-    Ok (vr.Node.vr_value, v)
+  verified_read t key ~name:"verified-get" ~req_bytes:64
+    ~none:"nothing persisted yet" ~current:true (fun nd ~from ->
+      Node.get_verified_latest nd key ~from)
 
 let verified_get_at t key ~block =
-  Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~name:"verified-get-at"
-  @@ fun vctx ->
-  let shard = Cluster.shard_of_key t.cluster key in
-  let from = t.digests.(shard) in
-  let started = Sim.now () in
-  match
-    with_retry t ~ctx:vctx ~label:"verified-get-at" (fun () ->
-        Cluster.call t.cluster ~timeout:t.rpc_timeout ~ctx:vctx ~shard ~req_bytes:(String.length key + 72)
-          ~resp_bytes:(fun r ->
-            match r with
-            | Some vr ->
-              Ledger.proof_codec.Codec.size_bytes vr.Node.vr_proof
-              + Ledger.append_proof_codec.Codec.size_bytes vr.Node.vr_append + 64
-            | None -> 16)
-          (fun nd -> Node.get_verified_at nd key ~block ~from))
-  with
-  | Error e -> Error e
-  | Ok None -> Error (Error.Unavailable "no such block")
-  | Ok (Some vr) ->
-    let v = check_read t shard key vr.Node.vr_value ~from vr ~current:false in
-    let v = { v with v_latency = Sim.now () -. started } in
-    Ok (vr.Node.vr_value, v)
+  verified_read t key ~name:"verified-get-at" ~req_bytes:72
+    ~none:"no such block" ~current:false (fun nd ~from ->
+      Node.get_verified_at nd key ~block ~from)
 
 let get_history t key ~n =
   let shard = Cluster.shard_of_key t.cluster key in

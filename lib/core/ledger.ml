@@ -50,9 +50,6 @@ let genesis = { block_no = -1; root = Hash.empty; head = Hash.empty }
 let digest_equal a b =
   Int.equal a.block_no b.block_no && Hash.equal a.root b.root && Hash.equal a.head b.head
 
-let pp_digest fmt d =
-  Format.fprintf fmt "#%d:%s" d.block_no (Hash.short d.root)
-
 type block_write = { wkey : Kv.key; wvalue : Kv.value; wtid : Kv.txn_id }
 
 type t = {
@@ -277,80 +274,59 @@ let proof_codec : proof Codec.codec =
       { p_block; p_header; p_upper; p_lower; p_payload })
     ()
 
-(* The batched wire encoding for a set of single-key proofs: the distinct
-   headers and chunks once, then per-proof frames referencing them by
-   index.  [batch_size_bytes] is the exact length of this encoding. *)
-let encode_proof_batch buf proofs =
-  let seen = Hashtbl.create 64 in
-  let pool = ref [] and npool = ref 0 in
-  let intern s =
-    match Hashtbl.find_opt seen s with
-    | Some i -> i
-    | None ->
-      let i = !npool in
-      Hashtbl.replace seen s i;
-      pool := s :: !pool;
-      incr npool;
-      i
-  in
-  let frames =
-    List.map
-      (fun p ->
-        ( p.p_block,
-          intern p.p_header,
-          List.map intern (Pos_tree.proof_chunks p.p_upper),
-          List.map intern (Pos_tree.proof_chunks p.p_lower),
-          p.p_payload ))
-      proofs
-  in
-  Codec.write_list buf Codec.write_string (List.rev !pool);
-  Codec.write_list buf
-    (fun b (block, header, upper, lower, payload) ->
-      Codec.write_varint b block;
-      Codec.write_varint b header;
-      Codec.write_list b Codec.write_varint upper;
-      Codec.write_list b Codec.write_varint lower;
-      Codec.write_option b Codec.write_string payload)
-    frames
-
-let batch_size_bytes proofs =
-  String.length (Codec.to_string encode_proof_batch proofs)
-
-let prove_inclusion t key ~block =
+(* What every block-anchored proof carries: the block's serialized header
+   and its path in the upper tree, plus the block's state to prove
+   against. *)
+let anchor t ~block ~caller =
   match (header_at t block, state_at t block) with
   | Some header, Some st ->
-    { p_block = block;
-      p_header = header_bytes header;
-      p_upper = Pos_tree.prove t.upper (block_key block);
-      p_lower = Pos_tree.prove st key;
-      p_payload = Pos_tree.get st key }
-  | _ -> invalid_arg "Ledger.prove_inclusion: no such block"
+    (header_bytes header, Pos_tree.prove t.upper (block_key block), st)
+  | _ -> invalid_arg (caller ^ ": no such block")
+
+(* The check every block-anchored proof starts with: the header decodes,
+   names [block], is no newer than the digest, and sits at [block] in the
+   digest's upper tree.  Returns the decoded header. *)
+let check_anchor ~digest ~block header upper =
+  match Codec.of_string decode_header header with
+  | exception _ -> None
+  | h ->
+    if Int.equal h.block_no block
+       && block <= digest.block_no
+       && Pos_tree.verify ~root:digest.root ~key:(block_key block)
+            ~value:(Some header) upper
+    then Some h
+    else None
+
+(* A certified payload decodes, is no newer than its block and, when the
+   caller claims a value, holds it. *)
+let payload_ok ~block ?value payload =
+  match decode_payload payload with
+  | v, version, _ ->
+    version <= block && Option.fold ~none:true ~some:(String.equal v) value
+  | exception _ -> false
+
+let prove_inclusion t key ~block =
+  let header, upper, st = anchor t ~block ~caller:"Ledger.prove_inclusion" in
+  { p_block = block;
+    p_header = header;
+    p_upper = upper;
+    p_lower = Pos_tree.prove st key;
+    p_payload = Pos_tree.get st key }
 
 let prove_current t key =
   if t.latest < 0 then invalid_arg "Ledger.prove_current: empty ledger"
   else prove_inclusion t key ~block:t.latest
 
 let verify_inclusion ~digest ~key ~value p =
-  match
-    (* Parse the header defensively: it comes from the server. *)
-    Codec.of_string decode_header p.p_header
-  with
-  | exception _ -> false
-  | header ->
-    Int.equal header.block_no p.p_block
-    && p.p_block <= digest.block_no
-    && Pos_tree.verify ~root:digest.root ~key:(block_key p.p_block)
-         ~value:(Some p.p_header) p.p_upper
-    && Pos_tree.verify ~root:header.state_root ~key ~value:p.p_payload
-         p.p_lower
+  match check_anchor ~digest ~block:p.p_block p.p_header p.p_upper with
+  | None -> false
+  | Some header ->
+    Pos_tree.verify ~root:header.state_root ~key ~value:p.p_payload p.p_lower
     &&
     (match (p.p_payload, value) with
      | None, None -> true
      | None, Some _ | Some _, None -> false
-     | Some payload, Some v ->
-       (match decode_payload payload with
-        | value', version, _ -> String.equal value' v && version <= p.p_block
-        | exception _ -> false))
+     | Some payload, Some v -> payload_ok ~block:p.p_block ~value:v payload)
 
 let verify_current ~digest ~key ~value p =
   Int.equal p.p_block digest.block_no
@@ -363,7 +339,7 @@ type batch_proof = {
   bp_block : int;
   bp_header : string;
   bp_upper : Pos_tree.proof;
-  bp_lower : Pos_tree.multiproof;
+  bp_lower : Pos_tree.proof;
   bp_items : (Kv.key * string option) list;
       (** certified (key, encoded payload or absent), one per requested key *)
 }
@@ -374,7 +350,7 @@ let batch_proof_codec : batch_proof Codec.codec =
       Codec.write_varint buf p.bp_block;
       Codec.write_string buf p.bp_header;
       Pos_tree.proof_codec.Codec.encode buf p.bp_upper;
-      Pos_tree.multiproof_codec.Codec.encode buf p.bp_lower;
+      Pos_tree.proof_codec.Codec.encode buf p.bp_lower;
       Codec.write_list buf
         (fun b (k, v) ->
           Codec.write_string b k;
@@ -384,7 +360,7 @@ let batch_proof_codec : batch_proof Codec.codec =
       let bp_block = Codec.read_varint r in
       let bp_header = Codec.read_string r in
       let bp_upper = Pos_tree.proof_codec.Codec.decode r in
-      let bp_lower = Pos_tree.multiproof_codec.Codec.decode r in
+      let bp_lower = Pos_tree.proof_codec.Codec.decode r in
       let bp_items =
         Codec.read_list r (fun r' ->
             let k = Codec.read_string r' in
@@ -395,40 +371,30 @@ let batch_proof_codec : batch_proof Codec.codec =
     ()
 
 let prove_inclusion_batch t keys ~block =
-  match (header_at t block, state_at t block) with
-  | Some header, Some st ->
-    let lower, items = Pos_tree.prove_batch st keys in
-    { bp_block = block;
-      bp_header = header_bytes header;
-      bp_upper = Pos_tree.prove t.upper (block_key block);
-      bp_lower = lower;
-      bp_items = items }
-  | _ -> invalid_arg "Ledger.prove_inclusion_batch: no such block"
+  let header, upper, st =
+    anchor t ~block ~caller:"Ledger.prove_inclusion_batch"
+  in
+  let lower, items = Pos_tree.prove_batch st keys in
+  { bp_block = block;
+    bp_header = header;
+    bp_upper = upper;
+    bp_lower = lower;
+    bp_items = items }
 
 let prove_inclusion_batches t groups =
   List.map (fun (block, keys) -> prove_inclusion_batch t keys ~block) groups
 
 (* Header and upper-tree inclusion are checked once for the whole batch;
-   the multiproof then certifies every (key, payload) pair against the
-   block's state root in one pass. *)
+   the lower proof then certifies every (key, payload) pair against the
+   block's state root in one walk. *)
 let verify_inclusion_batch ~digest p =
-  match Codec.of_string decode_header p.bp_header with
-  | exception _ -> false
-  | header ->
-    Int.equal header.block_no p.bp_block
-    && p.bp_block <= digest.block_no
-    && Pos_tree.verify ~root:digest.root ~key:(block_key p.bp_block)
-         ~value:(Some p.bp_header) p.bp_upper
-    && Pos_tree.verify_batch ~root:header.state_root ~items:p.bp_items
-         p.bp_lower
+  match check_anchor ~digest ~block:p.bp_block p.bp_header p.bp_upper with
+  | None -> false
+  | Some header ->
+    Pos_tree.verify_batch ~root:header.state_root ~items:p.bp_items p.bp_lower
     && List.for_all
          (fun (_, payload) ->
-           match payload with
-           | None -> true
-           | Some s ->
-             (match decode_payload s with
-              | _, version, _ -> version <= p.bp_block
-              | exception _ -> false))
+           Option.fold ~none:true ~some:(payload_ok ~block:p.bp_block) payload)
          p.bp_items
 
 (* The binding a verified batch proof certifies for [key]: [Some None] is
@@ -448,23 +414,16 @@ type scan_proof = {
   sp_block : int;
   sp_header : string;
   sp_upper : Pos_tree.proof;
-  sp_range : Pos_tree.range_proof;
+  sp_range : Pos_tree.proof;
 }
-
-let scan_proof_size_bytes p =
-  String.length p.sp_header
-  + Pos_tree.proof_codec.Codec.size_bytes p.sp_upper
-  + Pos_tree.range_proof_codec.Codec.size_bytes p.sp_range + 8
 
 let prove_scan t ~lo ~hi ?block () =
   let block = Option.value ~default:t.latest block in
-  match (header_at t block, state_at t block) with
-  | Some header, Some st ->
-    { sp_block = block;
-      sp_header = header_bytes header;
-      sp_upper = Pos_tree.prove t.upper (block_key block);
-      sp_range = Pos_tree.prove_range st ~lo ~hi }
-  | _ -> invalid_arg "Ledger.prove_scan: no such block"
+  let header, upper, st = anchor t ~block ~caller:"Ledger.prove_scan" in
+  { sp_block = block;
+    sp_header = header;
+    sp_upper = upper;
+    sp_range = Pos_tree.prove_range st ~lo ~hi }
 
 let scan_at t block ~lo ~hi =
   match state_at t block with
@@ -496,14 +455,9 @@ let scan ?block t ~lo ~hi =
   else scan_at t block ~lo ~hi
 
 let verify_scan ~digest ~lo ~hi ~rows p =
-  match Codec.of_string decode_header p.sp_header with
-  | exception _ -> false
-  | header ->
-    Int.equal header.block_no p.sp_block
-    && p.sp_block <= digest.block_no
-    && Pos_tree.verify ~root:digest.root ~key:(block_key p.sp_block)
-         ~value:(Some p.sp_header) p.sp_upper
-    &&
+  match check_anchor ~digest ~block:p.sp_block p.sp_header p.sp_upper with
+  | None -> false
+  | Some header ->
     (match
        Pos_tree.extract_range ~root:header.state_root ~lo ~hi p.sp_range
      with
@@ -514,12 +468,7 @@ let verify_scan ~digest ~lo ~hi ~rows p =
        Int.equal (List.length certified) (List.length rows)
        && List.for_all2
             (fun (ck, payload) (rk, rv) ->
-              String.equal ck rk
-              &&
-              match decode_payload payload with
-              | value, version, _ ->
-                String.equal value rv && version <= p.sp_block
-              | exception _ -> false)
+              String.equal ck rk && payload_ok ~block:p.sp_block ~value:rv payload)
             certified rows)
 
 type append_proof =

@@ -41,8 +41,6 @@ type header = {
 }
 
 val header_hash : header -> Hash.t
-val encode_header : Buffer.t -> header -> unit
-val decode_header : Codec.reader -> header
 
 type digest = { block_no : int; root : Hash.t; head : Hash.t }
 (** What clients cache and auditors gossip: latest block number, upper-tree
@@ -50,7 +48,6 @@ type digest = { block_no : int; root : Hash.t; head : Hash.t }
 
 val genesis : digest
 val digest_equal : digest -> digest -> bool
-val pp_digest : Format.formatter -> digest -> unit
 
 type block_write = { wkey : Kv.key; wvalue : Kv.value; wtid : Kv.txn_id }
 (** One committed write: the key, its new value, and the transaction that
@@ -95,7 +92,16 @@ val txns_of_block : t -> int -> Kv.signed_txn list
 val resident_snapshots : t -> int
 (** Snapshots currently held in memory (bounded by [snapshot_retention]). *)
 
-(* --- proofs --- *)
+(* --- proofs ---
+
+   Every proof below is anchored the same way: the block's serialized
+   header plus its path in the upper tree.  A verifier first decodes the
+   header, checks that it names the proof's block, that the block is no
+   newer than its digest, and that the header sits at that block in the
+   digest's upper tree; the lower-tree part (one key, a key batch or a
+   range, all {!Postree.Pos_tree} proofs) is then checked against the
+   header's state root, and every certified payload must be no newer
+   than the block. *)
 
 type proof = {
   p_block : int;
@@ -106,10 +112,6 @@ type proof = {
 }
 
 val proof_codec : proof Codec.codec
-
-val batch_size_bytes : proof list -> int
-(** Size after deduplicating shared tree chunks — what a server batching
-    proofs for keys in the same block actually ships. *)
 
 val prove_inclusion : t -> Kv.key -> block:int -> proof
 (** Raises [Invalid_argument] when the block does not exist. *)
@@ -132,11 +134,11 @@ type batch_proof = {
   bp_block : int;
   bp_header : string;               (** serialized header *)
   bp_upper : Postree.Pos_tree.proof;
-  bp_lower : Postree.Pos_tree.multiproof;
+  bp_lower : Postree.Pos_tree.proof;
   bp_items : (Kv.key * string option) list;
       (** certified (key, encoded payload or absent) per requested key *)
 }
-(** One header, one upper-tree path, and one lower-tree multiproof cover a
+(** One header, one upper-tree path, and one lower-tree walk cover a
     whole key batch: chunks shared between the keys' search paths ship and
     hash once.  This is what a shard returns for a deferred-verification
     flush. *)
@@ -153,7 +155,7 @@ val prove_inclusion_batches : t -> (int * Kv.key list) list -> batch_proof list
     when any block does not exist. *)
 
 val verify_inclusion_batch : digest:digest -> batch_proof -> bool
-(** Checks header and upper-tree inclusion once, then the multiproof for
+(** Checks header and upper-tree inclusion once, then the lower proof for
     every item, including payload version sanity. *)
 
 val batch_proof_value :
@@ -177,8 +179,6 @@ type scan_proof
 (** Header inclusion in the upper tree plus a lower-tree range proof whose
     verification recurses into every intersecting subtree — the server can
     neither omit nor inject rows. *)
-
-val scan_proof_size_bytes : scan_proof -> int
 
 val prove_scan : t -> lo:Kv.key -> hi:Kv.key -> ?block:int -> unit -> scan_proof
 (** Proof for the rows with [lo <= key < hi] as of [block] (default:

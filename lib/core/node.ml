@@ -423,16 +423,6 @@ let get_verified_at t k ~block ~from =
         vr_append = appendp;
         vr_digest = Ledger.digest t.ledger }
 
-let get_proof t promise ~from =
-  if Ledger.latest_block t.ledger < promise.pr_block then None
-  else begin
-    let proof = Ledger.prove_inclusion t.ledger promise.pr_key ~block:promise.pr_block in
-    let appendp =
-      Ledger.prove_append_only t.ledger ~old_block:from.Ledger.block_no
-    in
-    Some (proof, appendp, Ledger.digest t.ledger)
-  end
-
 let get_proofs t promises ~from =
   (* Deferred-verification flush: group the persisted promises by block and
      answer each group with ONE batch proof — a single header, upper-tree

@@ -112,12 +112,6 @@ val get_verified_latest : t -> Kv.key -> from:Ledger.digest -> verified_read opt
 
 val get_verified_at : t -> Kv.key -> block:int -> from:Ledger.digest -> verified_read option
 
-val get_proof :
-  t -> promise -> from:Ledger.digest ->
-  (Ledger.proof * Ledger.append_proof * Ledger.digest) option
-(** Deferred verification: [None] while the promised block is not yet
-    persisted. *)
-
 val get_proofs :
   t -> promise list -> from:Ledger.digest ->
   Ledger.batch_proof list * Ledger.append_proof * Ledger.digest

@@ -21,10 +21,6 @@ let append t data =
   t.len <- t.len + 1;
   t.len - 1
 
-let leaf_hash t i =
-  if i < 0 || i >= t.len then invalid_arg "Merkle_log.leaf_hash";
-  t.leaves.(i)
-
 (* Largest power of two strictly less than n (n >= 2). *)
 let split_point n =
   let k = ref 1 in

@@ -19,9 +19,6 @@ val size : t -> int
 val append : t -> string -> int
 (** Add a leaf; returns its index. *)
 
-val leaf_hash : t -> int -> Hash.t
-(** Raises [Invalid_argument] if out of range. *)
-
 val root : t -> Hash.t
 (** Root over the current size ([Hash.empty] when empty). *)
 

@@ -15,7 +15,3 @@ let reset = Work.reset_attribution
 let scoped = Work.with_component
 
 let snapshot = Work.attribution
-
-let unattributed () =
-  let total = Work.snapshot () in
-  List.fold_left (fun acc (_, c) -> Work.sub acc c) total (Work.attribution ())

@@ -28,7 +28,3 @@ val scoped : string -> (unit -> 'a) -> 'a
 
 val snapshot : unit -> (string * Work.counters) list
 (** Accumulated per-component deltas, sorted by component name. *)
-
-val unattributed : unit -> Work.counters
-(** Global counters minus everything attributed — work performed outside
-    any component scope (or before attribution was enabled). *)

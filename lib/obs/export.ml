@@ -187,4 +187,3 @@ let write_file ~path text =
   close_out oc
 
 let write_trace ~path = write_file ~path (trace_json ())
-let write_metrics ~path = write_file ~path (metrics_json ())

@@ -34,4 +34,3 @@ val metrics_json : unit -> string
 (** [to_string (Obj (metrics_fields ()))]. *)
 
 val write_trace : path:string -> unit
-val write_metrics : path:string -> unit

@@ -32,13 +32,11 @@ type event = {
     A root span starts a trace ([trace_id] = its own span id); children
     inherit the trace id whatever track they land on.  Ids come from one
     counter reset by {!clear}, so identical runs number identically.
-    [trace_id = 0] ({!null_ctx}) means "no context" — what {!span_ctx}
+    [trace_id = 0] means "no context" — what {!span_ctx}
     hands its thunk while tracing is disabled; passing it as a parent is
     equivalent to omitting it, so contexts can be threaded unconditionally
     at zero cost. *)
 type ctx = { trace_id : int; span_id : int }
-
-val null_ctx : ctx
 
 val enabled : unit -> bool
 
@@ -62,7 +60,8 @@ val span_ctx :
   name:string -> (ctx -> 'a) -> 'a
 (** Like {!span}, but hands the thunk its own context for threading to
     children — including across {!Cluster.call}-style RPC boundaries.
-    While tracing is disabled the thunk receives {!null_ctx}. *)
+    While tracing is disabled the thunk receives the null context
+    ([trace_id = 0]). *)
 
 val instant :
   ?cat:string -> ?track:int -> ?attrs:(string * string) list -> ?parent:ctx ->

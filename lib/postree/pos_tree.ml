@@ -70,6 +70,8 @@ let parse_chunk s =
     | _ -> raise (Codec.Malformed "chunk tag")
   in
   let n = Codec.read_varint r in
+  (* Every item takes at least two bytes, so a larger count is corrupt. *)
+  if n < 0 || n > String.length s then raise (Codec.Malformed "chunk item count");
   let items =
     Array.init n (fun _ ->
         let ikey = Codec.read_string r in
@@ -215,6 +217,13 @@ let bindings t =
     |> List.concat_map (fun c ->
            Array.to_list c.items
            |> List.map (fun it -> (Chunker.item_key it, Chunker.item_payload it)))
+
+let bindings_range t ~lo ~hi =
+  if is_empty t || String.compare lo hi >= 0 then []
+  else
+    bindings t
+    |> List.filter (fun (k, _) ->
+           String.compare lo k <= 0 && String.compare k hi < 0)
 
 (* --- incremental update --- *)
 
@@ -487,177 +496,25 @@ let load cfg root =
     | exception Load_failure -> None
   end
 
-(* --- proofs --- *)
+(* --- proofs ---
 
-type proof = string list (* serialized chunks, root first *)
+   Every proof is the list of serialized chunks that one walk from the root
+   enters, in the order it enters them: depth first, children left to
+   right, each chunk once.  The prover runs the walk over the tree; the
+   verifier replays the same walk over the list, consuming one chunk per
+   visit and checking it against the hash that led there.  A proof is
+   accepted only in exactly that form. *)
 
-(* All three proof kinds are chunk lists on the wire; they share one codec
-   shape.  The accounting size charges each chunk plus a fixed 4-byte
-   frame — the modelled RPC framing, not the varint encoding. *)
-let chunk_list_codec : string list Codec.codec =
+type proof = string list
+
+(* The accounting size charges each chunk plus a fixed 4-byte frame — the
+   modelled RPC framing, not the varint encoding. *)
+let proof_codec : proof Codec.codec =
   Codec.codec
     ~size_bytes:(List.fold_left (fun acc s -> acc + String.length s + 4) 0)
     ~encode:(fun buf p -> Codec.write_list buf Codec.write_string p)
     ~decode:(fun r -> Codec.read_list r Codec.read_string)
     ()
-
-let proof_codec : proof Codec.codec = chunk_list_codec
-let proof_chunks p = p
-
-let prove t key =
-  let top = Array.length t.levels - 1 in
-  if top < 0 then []
-  else begin
-    let rec descend l ci acc =
-      Work.note_page_read ();
-      let chunk = t.levels.(l).chunks.(ci) in
-      let acc = serialize_chunk ~leaf:(l = 0) chunk.items :: acc in
-      if l = 0 then acc
-      else begin
-        let idx = route_index chunk.items key in
-        descend (l - 1) (t.levels.(l).offsets.(ci) + idx) acc
-      end
-    in
-    List.rev (descend top 0 [])
-  end
-
-let verify ~root ~key ~value proof =
-  match proof with
-  | [] -> Hash.equal root Hash.empty && value = None
-  | _ ->
-    let rec walk expected proof =
-      match proof with
-      | [] -> false
-      | s :: rest ->
-        (match parse_chunk s with
-         | exception Codec.Malformed _ -> false
-         | (_, [||]) -> false
-         | leaf, items ->
-           if not (Hash.equal (chunk_hash ~leaf items) expected) then false
-           else if leaf then
-             (* Leaf chunk: must be the last element of the proof. *)
-             rest = [] && Option.equal String.equal (find_leaf items key) value
-           else begin
-             let idx = route_index items key in
-             walk (Chunker.item_payload items.(idx)) rest
-           end)
-    in
-    walk root proof
-
-(* --- batched multiproofs --- *)
-
-type multiproof = string list (* distinct serialized chunks, root first *)
-
-let multiproof_codec : multiproof Codec.codec = chunk_list_codec
-
-(* One walk for the whole (sorted, deduplicated) key set: each chunk on any
-   covered root-to-leaf path is visited, charged and serialized exactly
-   once, no matter how many keys route through it. *)
-let prove_batch t keys =
-  let keys = List.sort_uniq String.compare keys in
-  if keys = [] then ([], [])
-  else if is_empty t then ([], List.map (fun k -> (k, None)) keys)
-  else begin
-    let seen = Hashtbl.create 32 in
-    let chunks = ref [] in
-    let bindings = ref [] in
-    let add ~leaf chunk =
-      if not (Hashtbl.mem seen chunk.hash) then begin
-        Hashtbl.replace seen chunk.hash ();
-        Work.note_page_read ();
-        chunks := serialize_chunk ~leaf chunk.items :: !chunks
-      end
-    in
-    let rec walk l ci ks =
-      let chunk = t.levels.(l).chunks.(ci) in
-      add ~leaf:(l = 0) chunk;
-      if l = 0 then
-        List.iter
-          (fun k -> bindings := (k, find_leaf chunk.items k) :: !bindings)
-          ks
-      else begin
-        (* Partition the sorted keys among children; route_index is
-           monotone, so grouping consecutive keys suffices. *)
-        let groups =
-          List.fold_left
-            (fun acc k ->
-              let idx = route_index chunk.items k in
-              match acc with
-              | (i, ks') :: rest when Int.equal i idx -> (i, k :: ks') :: rest
-              | _ -> (idx, [ k ]) :: acc)
-            [] ks
-          |> List.rev_map (fun (i, ks') -> (i, List.rev ks'))
-        in
-        List.iter
-          (fun (idx, sub) -> walk (l - 1) (t.levels.(l).offsets.(ci) + idx) sub)
-          groups
-      end
-    in
-    walk (Array.length t.levels - 1) 0 keys;
-    (List.rev !chunks, List.rev !bindings)
-  end
-
-let verify_batch ~root ~items proof =
-  if items = [] then proof = []
-  else
-    match proof with
-    | [] ->
-      Hash.equal root Hash.empty && List.for_all (fun (_, v) -> v = None) items
-    | _ ->
-      let by_hash = Hashtbl.create 32 in
-      let ok = ref true in
-      (* Parse every chunk first, then authenticate the whole batch
-         through one scratch context ({!Hash.combine_many}); feeding item
-         digests is exactly what [chunk_hash] does per chunk. *)
-      let parsed = ref [] in
-      List.iter
-        (fun s ->
-          match parse_chunk s with
-          | exception Codec.Malformed _ -> ok := false
-          | _, [||] -> ok := false
-          | leaf, its -> parsed := (leaf, its) :: !parsed)
-        proof;
-      let parsed = Array.of_list (List.rev !parsed) in
-      let hashes =
-        Hash.combine_many
-          (fun (leaf, its) push ->
-            push (if leaf then leaf_tag else interior_tag);
-            Array.iter (fun it -> push (Chunker.item_hash it)) its)
-          parsed
-      in
-      Array.iteri
-        (fun i (leaf, its) -> Hashtbl.replace by_hash hashes.(i) (leaf, its))
-        parsed;
-      !ok
-      && List.for_all
-           (fun (key, value) ->
-             (* Re-walk the shared chunk set from the root for each key; a
-                dropped or tampered chunk breaks the hash chain. *)
-             let rec lookup expected =
-               match Hashtbl.find_opt by_hash expected with
-               | None -> None
-               | Some (true, its) -> Some (find_leaf its key)
-               | Some (false, its) ->
-                 let idx = route_index its key in
-                 lookup (Chunker.item_payload its.(idx))
-             in
-             match lookup root with
-             | Some v -> Option.equal String.equal v value
-             | None -> false)
-           items
-
-(* --- verifiable range queries --- *)
-
-let bindings_range t ~lo ~hi =
-  if is_empty t || String.compare lo hi >= 0 then []
-  else
-    bindings t
-    |> List.filter (fun (k, _) ->
-           String.compare lo k <= 0 && String.compare k hi < 0)
-
-type range_proof = string list (* distinct serialized chunks, root included *)
-
-let range_proof_codec : range_proof Codec.codec = chunk_list_codec
 
 (* Children of an index chunk that may hold keys in [lo, hi): child i covers
    [ikey_i, ikey_{i+1}), except child 0 which also covers anything below its
@@ -680,67 +537,135 @@ let children_in_range (items : Chunker.item array) ~lo ~hi =
   done;
   !out
 
-let prove_range t ~lo ~hi =
-  if is_empty t || String.compare lo hi >= 0 then []
-  else begin
-    let seen = Hashtbl.create 32 in
-    let acc = ref [] in
-    let add ~leaf items =
-      let s = serialize_chunk ~leaf items in
-      if not (Hashtbl.mem seen s) then begin
-        Hashtbl.replace seen s ();
-        Work.note_page_read ();
-        acc := s :: !acc
-      end
-    in
-    let rec walk l ci =
-      let chunk = t.levels.(l).chunks.(ci) in
-      add ~leaf:(l = 0) chunk.items;
-      if l > 0 then
-        List.iter
-          (fun idx -> walk (l - 1) (t.levels.(l).offsets.(ci) + idx))
-          (children_in_range chunk.items ~lo ~hi)
-    in
-    walk (Array.length t.levels - 1) 0;
-    List.rev !acc
-  end
+(* What a walk looks for.  At an index chunk, [enter] picks the children to
+   descend into, in ascending order, each with the part of the query routed
+   there; at a leaf chunk, [answer] is what the leaf certifies for its part.
+   [void] queries enter nothing. *)
+type ('q, 'a) query = {
+  void : 'q -> bool;
+  enter : Chunker.item array -> 'q -> (int * 'q) list;
+  answer : Chunker.item array -> 'q -> 'a list;
+}
 
-(* Re-walk the proof's chunks from the root, recursing into every child
-   whose span intersects the range; returns the certified bindings, or
-   [None] when any chunk is missing, malformed, or unauthentic. *)
-let extract_range ~root ~lo ~hi proof =
-  if String.compare lo hi >= 0 then Some []
-  else if proof = [] then if Hash.equal root Hash.empty then Some [] else None
-  else begin
-    let by_hash = Hashtbl.create 32 in
-    let ok = ref true in
-    List.iter
-      (fun s ->
-        match parse_chunk s with
-        | exception Codec.Malformed _ -> ok := false
-        | leaf, items ->
-          if Array.length items = 0 then ok := false
-          else Hashtbl.replace by_hash (chunk_hash ~leaf items) (leaf, items))
-      proof;
-    let collected = ref [] in
-    let rec walk expected =
-      match Hashtbl.find_opt by_hash expected with
-      | None -> ok := false
-      | Some (true, items) ->
-        Array.iter
-          (fun it ->
+(* A sorted, deduplicated key set.  [route_index] is monotone, so grouping
+   consecutive keys partitions them among the children. *)
+let keys_query =
+  { void = (fun ks -> ks = []);
+    enter =
+      (fun items ks ->
+        List.fold_left
+          (fun acc k ->
+            let idx = route_index items k in
+            match acc with
+            | (i, ks') :: rest when Int.equal i idx -> (i, k :: ks') :: rest
+            | _ -> (idx, [ k ]) :: acc)
+          [] ks
+        |> List.rev_map (fun (i, ks') -> (i, List.rev ks')));
+    answer = (fun items ks -> List.map (fun k -> (k, find_leaf items k)) ks) }
+
+(* The half-open key range [lo, hi). *)
+let range_query =
+  { void = (fun (lo, hi) -> String.compare lo hi >= 0);
+    enter =
+      (fun items ((lo, hi) as r) ->
+        List.map (fun i -> (i, r)) (children_in_range items ~lo ~hi));
+    answer =
+      (fun items (lo, hi) ->
+        Array.fold_right
+          (fun it acc ->
             let k = Chunker.item_key it in
             if String.compare lo k <= 0 && String.compare k hi < 0 then
-              collected := (k, Chunker.item_payload it) :: !collected)
-          items
-      | Some (false, items) ->
+              (k, Chunker.item_payload it) :: acc
+            else acc)
+          items []) }
+
+(* The one proof walk, from [root] ([None] for the empty tree).  [visit
+   node] yields the chunk at [node] as [(leaf, items)]; [child node items i]
+   is the node that index item [i] points to.  An empty tree or a void
+   query enters nothing, and the answer is that of an empty leaf. *)
+let walk ~visit ~child query root q =
+  match root with
+  | Some node when not (query.void q) ->
+    let out = ref [] in
+    let rec go node q =
+      let leaf, items = visit node in
+      if leaf then out := List.rev_append (query.answer items q) !out
+      else
         List.iter
-          (fun idx -> walk (Chunker.item_payload items.(idx)))
-          (children_in_range items ~lo ~hi)
+          (fun (i, q) -> go (child node items i) q)
+          (query.enter items q)
     in
-    walk root;
-    if !ok then Some (List.rev !collected) else None
-  end
+    go node q;
+    List.rev !out
+  | _ -> query.answer [||] q
+
+(* The walk over the tree: one page read and one serialized chunk per chunk
+   entered. *)
+let prove_walk query t q =
+  let chunks = ref [] in
+  let visit (l, ci) =
+    Work.note_page_read ();
+    let chunk = t.levels.(l).chunks.(ci) in
+    chunks := serialize_chunk ~leaf:(l = 0) chunk.items :: !chunks;
+    (l = 0, chunk.items)
+  in
+  let child (l, ci) _ i = (l - 1, t.levels.(l).offsets.(ci) + i) in
+  let top = Array.length t.levels - 1 in
+  let answer =
+    walk ~visit ~child query (if top < 0 then None else Some (top, 0)) q
+  in
+  (List.rev !chunks, answer)
+
+let prove_batch t keys =
+  prove_walk keys_query t (List.sort_uniq String.compare keys)
+
+let prove t key = fst (prove_batch t [ key ])
+
+let prove_range t ~lo ~hi = fst (prove_walk range_query t (lo, hi))
+
+exception Reject
+
+(* The same walk replayed over a proof: each visit consumes the next chunk,
+   which must parse, be non-empty and hash to the pointer that led to it.
+   [None] unless the walk consumes the whole proof. *)
+let replay query ~root q proof =
+  let rest = ref proof in
+  let visit expected =
+    match !rest with
+    | [] -> raise Reject
+    | s :: tl ->
+      rest := tl;
+      (match parse_chunk s with
+       | exception Codec.Malformed _ -> raise Reject
+       | _, [||] -> raise Reject
+       | leaf, items ->
+         if Hash.equal (chunk_hash ~leaf items) expected then (leaf, items)
+         else raise Reject)
+  in
+  let child _ items i = Chunker.item_payload items.(i) in
+  let root = if Hash.equal root Hash.empty then None else Some root in
+  match walk ~visit ~child query root q with
+  | answer -> if !rest = [] then Some answer else None
+  | exception Reject -> None
+
+let verify_batch ~root ~items proof =
+  match
+    replay keys_query ~root
+      (List.sort_uniq String.compare (List.map fst items))
+      proof
+  with
+  | None -> false
+  | Some certified ->
+    let tbl = Hashtbl.create (List.length certified) in
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) certified;
+    List.for_all
+      (fun (k, v) -> Option.equal String.equal (Hashtbl.find tbl k) v)
+      items
+
+let verify ~root ~key ~value proof =
+  verify_batch ~root ~items:[ (key, value) ] proof
+
+let extract_range ~root ~lo ~hi proof = replay range_query ~root (lo, hi) proof
 
 let verify_range ~root ~lo ~hi ~bindings proof =
   match extract_range ~root ~lo ~hi proof with

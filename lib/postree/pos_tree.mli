@@ -44,48 +44,8 @@ val insert_batch : t -> (string * string) list -> t
 val bindings : t -> (string * string) list
 (** All bindings in key order. *)
 
-type proof
-(** Serialized chunks along the root-to-leaf search path. *)
-
-val proof_codec : proof Codec.codec
-(** Wire codec.  Its [size_bytes] charges each chunk plus a fixed 4-byte
-    frame (the modelled RPC framing), not the exact varint encoding; the
-    multiproof and range-proof codecs below do the same. *)
-
-val prove : t -> string -> proof
-(** Proof of the key's presence-with-value or absence. *)
-
-val verify : root:Hash.t -> key:string -> value:string option -> proof -> bool
-(** Check a proof against a trusted root digest: [Some v] asserts the
-    binding, [None] asserts absence. *)
-
-val proof_chunks : proof -> string list
-(** The serialized chunks the proof carries, root first — exposed so a
-    caller merging several proofs can deduplicate shared chunks without
-    re-encoding. *)
-
-(* --- batched multiproofs --- *)
-
-type multiproof
-(** The distinct serialized chunks covering every root-to-leaf path of a
-    key batch.  Chunks shared between paths — the root always, and most
-    upper levels for clustered keys — appear exactly once, so a batch of k
-    keys costs far fewer bytes and hashes than k independent proofs. *)
-
-val multiproof_codec : multiproof Codec.codec
-
-val prove_batch : t -> string list -> multiproof * (string * string option) list
-(** One tree walk for the whole key set (deduplicated, sorted internally):
-    each covered chunk is visited, charged, and serialized exactly once.
-    Also returns the certified binding of every requested key, saving the
-    caller a second walk. *)
-
-val verify_batch :
-  root:Hash.t -> items:(string * string option) list -> multiproof -> bool
-(** Check every (key, value-or-absence) claim against a trusted root.  The
-    shared chunk set is parsed and hashed once; each key then re-walks it
-    from the root, so a dropped or tampered chunk fails every key routed
-    through it. *)
+val bindings_range : t -> lo:string -> hi:string -> (string * string) list
+(** Bindings with [lo <= key < hi], ascending. *)
 
 val load : config -> Hash.t -> t option
 (** Reconstruct the snapshot rooted at the given hash from the backing
@@ -96,27 +56,59 @@ val load : config -> Hash.t -> t option
 val stats_nodes : t -> int
 (** Total number of chunks across levels (for size accounting). *)
 
-(* --- verifiable range queries --- *)
+(* --- proofs ---
 
-val bindings_range : t -> lo:string -> hi:string -> (string * string) list
-(** Bindings with [lo <= key < hi], ascending. *)
+   Every proof is the list of serialized chunks that one walk from the
+   root enters, depth first with children left to right, each chunk once.
+   For a key set the walk enters, at each index chunk, the children the
+   keys route to; for a range, every child whose key span intersects it.
+   Verification replays that walk over the list: each step consumes the
+   next chunk, which must parse, be non-empty and hash to the pointer that
+   led to it, and the walk must consume the whole list.  So a proof is
+   accepted only in its one canonical form: padded, duplicated or
+   reordered chunk lists are rejected, and so is any non-empty proof for an
+   empty key set, an empty range or an empty tree. *)
 
-type range_proof
-(** The distinct chunks covering every root-to-leaf path that intersects
-    the range; verification recurses into *every* intersecting child, so a
-    server cannot omit entries (completeness) or inject them (soundness). *)
+type proof
+(** The serialized chunks one walk enters, root first. *)
 
-val range_proof_codec : range_proof Codec.codec
+val proof_codec : proof Codec.codec
+(** Wire codec.  Its [size_bytes] charges each chunk plus a fixed 4-byte
+    frame (the modelled RPC framing), not the exact varint encoding. *)
 
-val prove_range : t -> lo:string -> hi:string -> range_proof
+val prove_batch : t -> string list -> proof * (string * string option) list
+(** One walk for the whole key set (deduplicated and sorted internally):
+    each chunk on a covered root-to-leaf path is entered, charged as one
+    page read and serialized once, so chunks shared between paths ship
+    once.  Also returns the binding of every requested key, in key order. *)
+
+val prove : t -> string -> proof
+(** [fst (prove_batch t [key])]: the proof of one key's presence-with-value
+    or absence. *)
+
+val prove_range : t -> lo:string -> hi:string -> proof
+(** The walk over every chunk whose span intersects [lo, hi); empty when
+    [lo >= hi] or the tree is empty. *)
+
+val verify_batch :
+  root:Hash.t -> items:(string * string option) list -> proof -> bool
+(** Replay the key-set walk against a trusted root and check every (key,
+    value-or-absence) claim: [Some v] asserts the binding, [None] absence.
+    Each chunk is hashed once. *)
+
+val verify : root:Hash.t -> key:string -> value:string option -> proof -> bool
+(** [verify_batch] with one item. *)
+
+val extract_range :
+  root:Hash.t -> lo:string -> hi:string -> proof ->
+  (string * string) list option
+(** Replay the range walk: the bindings a valid proof certifies for
+    [lo, hi), or [None] when the proof is malformed, incomplete, not
+    canonical or inconsistent with [root].  Completeness holds because the
+    walk enters every intersecting child, so a server can neither omit nor
+    inject entries. *)
 
 val verify_range :
   root:Hash.t -> lo:string -> hi:string ->
-  bindings:(string * string) list -> range_proof -> bool
+  bindings:(string * string) list -> proof -> bool
 (** Checks that [bindings] is exactly the tree's content on [lo, hi). *)
-
-val extract_range :
-  root:Hash.t -> lo:string -> hi:string -> range_proof ->
-  (string * string) list option
-(** The bindings a valid proof certifies for [lo, hi); [None] when the
-    proof is malformed, incomplete, or inconsistent with [root]. *)

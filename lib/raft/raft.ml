@@ -79,9 +79,6 @@ let create ?(heartbeat = 0.02) ?(election_timeout = (0.15, 0.3)) ?(rtt = 200e-6)
 
 let size g = Array.length g.replicas
 let is_alive g i = g.replicas.(i).alive
-let term_of g i = g.replicas.(i).term
-let log_length g i = g.replicas.(i).log_len
-let committed_count g i = g.replicas.(i).commit_index + 1
 
 let last_index r = r.log_len - 1
 let last_term r = if r.log_len = 0 then 0 else r.log.(r.log_len - 1).term

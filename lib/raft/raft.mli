@@ -44,9 +44,4 @@ val crash : group -> int -> unit
 
 val recover : group -> int -> unit
 
-val committed_count : group -> int -> int
-(** Entries committed at one replica. *)
-
-val term_of : group -> int -> int
-val log_length : group -> int -> int
 val is_alive : group -> int -> bool

@@ -21,7 +21,6 @@ type t = {
   mutable schedule : (float * action) list; (* sorted by time, stable *)
   mutable trace : (float * string) list;    (* newest first *)
   mutable trace_len : int;
-  mutable trace_dropped : int;
   mutable crashes : int;
   mutable drops : int;
   mutable delays : int;
@@ -41,7 +40,6 @@ let create ?(drop = 0.) ?(delay = (0., 0.)) ~seed () =
     schedule = [];
     trace = [];
     trace_len = 0;
-    trace_dropped = 0;
     crashes = 0;
     drops = 0;
     delays = 0 }
@@ -51,8 +49,7 @@ let none () = create ~seed:0 ()
 let seed t = t.seed
 
 let note t event =
-  if t.trace_len >= trace_cap then t.trace_dropped <- t.trace_dropped + 1
-  else begin
+  if t.trace_len < trace_cap then begin
     let now = if Sim.in_simulation () then Sim.now () else 0. in
     t.trace <- (now, event) :: t.trace;
     t.trace_len <- t.trace_len + 1
@@ -117,7 +114,6 @@ let extra_delay t ~shard =
   else 0.
 
 let trace t = List.rev t.trace
-let trace_dropped t = t.trace_dropped
 let crashes t = t.crashes
 let drops t = t.drops
 let delays t = t.delays

@@ -52,10 +52,8 @@ val extra_delay : t -> shard:int -> float
 val trace : t -> (float * string) list
 (** Injected events oldest-first: ["crash 0"], ["restart 0"],
     ["partition 2"], ["heal 2"], ["drop 1"], ["delay 1"].  Deterministic
-    for a given seed and workload; bounded (see {!trace_dropped}). *)
-
-val trace_dropped : t -> int
-(** Trace entries discarded beyond the retention cap (counts stay exact). *)
+    for a given seed and workload; bounded: entries beyond the retention
+    cap are discarded, while the counters below stay exact. *)
 
 val crashes : t -> int
 val drops : t -> int

@@ -13,9 +13,6 @@ val create : ?rtt:float -> ?bandwidth:float -> ?faults:Faults.t -> unit -> t
 
 val faults_of : t -> Faults.t
 
-val one_way : t -> bytes_len:int -> float
-(** Latency of a one-way message of the given size. *)
-
 val send : t -> bytes_len:int -> unit
 (** Suspend the calling process for the one-way latency (fault-free path:
     control messages that the model treats as reliable). *)

@@ -113,8 +113,6 @@ module Ivar = struct
 
   let create () = { state = Empty [] }
 
-  let is_filled t = match t.state with Full _ -> true | Empty _ -> false
-
   let try_fill t v =
     match t.state with
     | Full _ -> false

@@ -44,7 +44,6 @@ module Ivar : sig
   type 'a t
 
   val create : unit -> 'a t
-  val is_filled : 'a t -> bool
 
   val fill : 'a t -> 'a -> unit
   (** Raises [Invalid_argument] when already filled. *)
@@ -69,11 +68,9 @@ module Resource : sig
   val create : int -> t
   (** Capacity must be positive. *)
 
-  val acquire : t -> unit
-  val release : t -> unit
-
   val use : t -> (unit -> 'a) -> 'a
-  (** Acquire, run, release (also on exception). *)
+  (** Acquire a slot (waiting in FIFO order when none is free), run, and
+      release it (also on exception). *)
 
   val in_use : t -> int
   val queue_length : t -> int

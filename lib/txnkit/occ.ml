@@ -11,10 +11,6 @@ let create () =
 
 type verdict = Ok | Conflict of string
 
-let pp_verdict fmt = function
-  | Ok -> Format.pp_print_string fmt "ok"
-  | Conflict r -> Format.fprintf fmt "conflict(%s)" r
-
 let mark_read t k =
   Hashtbl.replace t.read_marks k
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.read_marks k))

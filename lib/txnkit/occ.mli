@@ -41,7 +41,5 @@ val is_prepared : t -> tid:Kv.txn_id -> bool
 val is_write_locked : t -> Kv.key -> bool
 (** True while some prepared transaction intends to write the key. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val clear : t -> unit
 (** Drop all prepared state (crash simulation). *)

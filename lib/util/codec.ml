@@ -41,13 +41,6 @@ let read_string r =
   r.pos <- r.pos + n;
   s
 
-let write_raw buf s = Buffer.add_string buf s
-
-let read_raw r n =
-  need r n;
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
 
 let read_byte r =
   need r 1;

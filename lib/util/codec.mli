@@ -24,12 +24,6 @@ val write_string : Buffer.t -> string -> unit
 
 val read_string : reader -> string
 
-val write_raw : Buffer.t -> string -> unit
-(** Append bytes with no length prefix. *)
-
-val read_raw : reader -> int -> string
-(** Consume exactly [n] bytes. *)
-
 val read_byte : reader -> int
 
 val write_bool : Buffer.t -> bool -> unit

@@ -5,10 +5,10 @@ let equal = String.equal
 let compare = String.compare
 
 (* Every digest goes through a reused module-level context (reset + feed +
-   finalize) instead of allocating a fresh Sha256.t per call — the batched
-   hot paths (chunk hashing, multiproof assembly) issue millions of these.
-   Two contexts, not one: the aggregate ops ([combine]/[combine_feed]/
-   [digest_many]) drive feeders that may themselves call the primitive ops
+   finalize) instead of allocating a fresh Sha256.t per call — the hot
+   paths (chunk hashing and verification) issue millions of these.
+   Two contexts, not one: the aggregate ops ([combine]/[combine_feed])
+   drive feeders that may themselves call the primitive ops
    (e.g. memoizing an item's [kv] hash mid-combine), so primitives and
    aggregates must not share a context.  No same-context nesting: a
    feeder must not call the aggregate ops, or it would clobber the
@@ -53,23 +53,6 @@ let combine_feed fill =
   Sha256.finalize agg
 
 let combine hs = combine_feed (fun push -> List.iter push hs)
-
-let digest_many fill inputs =
-  let n = Array.length inputs in
-  Work.note_hash ~n ();
-  Array.map
-    (fun x ->
-      Sha256.reset agg;
-      fill x (fun s -> Sha256.feed_string agg s);
-      Sha256.finalize agg)
-    inputs
-
-let combine_many fill inputs =
-  digest_many
-    (fun x push ->
-      push "\x02";
-      fill x push)
-    inputs
 
 let short h = Hex.encode_prefix ~n:4 h
 let pp fmt h = Format.pp_print_string fmt (short h)

@@ -36,20 +36,8 @@ val combine_feed : ((string -> unit) -> unit) -> t
     fragments.  The feeder runs against a reused module-level context, so
     it may call the primitive ops ({!of_string}, {!leaf}, {!kv}, ...) —
     e.g. to memoize an item hash mid-stream — but must not call
-    {!combine}, {!combine_feed} or {!digest_many}. *)
-
-val digest_many : ('a -> (string -> unit) -> unit) -> 'a array -> t array
-(** Batched raw digests through one reused context: for each
-    input, the feeder pushes the full message bytes (including any domain
-    tags) and the resulting array holds the plain SHA-256 of each
-    message.  {!Work} charges one hash per input.  The feeder restriction of
-    {!combine_feed} applies. *)
-
-val combine_many : ('a -> (string -> unit) -> unit) -> 'a array -> t array
-(** Batched {!combine_feed}: element [i] of the result equals
-    [combine_feed (fill inputs.(i))].  The [0x02] tag stays inside this
-    module, so batch verifiers (e.g. multiproof checking) never learn the
-    wire format. *)
+    {!combine} or {!combine_feed}.  Every POS-tree chunk hash, built or
+    verified, goes through this function. *)
 
 val kv : string -> string -> t
 (** Hash of one key/value binding, tagged [0x03]. *)

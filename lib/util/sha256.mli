@@ -39,9 +39,5 @@ val finalize : t -> string
 val digest_string : string -> string
 (** One-shot digest of a string; returns 32 raw bytes. *)
 
-val digest_strings : string list -> string
-(** Digest of the concatenation of the given strings, without building the
-    concatenation. *)
-
 val hmac : key:string -> string -> string
 (** HMAC-SHA256 (RFC 2104); used for client "signatures". *)

@@ -136,9 +136,6 @@ let test_ledger_batch_proof_acceptance () =
        indep_bytes)
     true
     (batch_bytes < indep_bytes);
-  (* And the legacy batched wire encoding also dedups. *)
-  Alcotest.(check bool) "merged legacy encoding dedups" true
-    (Ledger.batch_size_bytes proofs < indep_bytes);
   (* Every key resolves to its value through the batch proof. *)
   List.iter
     (fun k ->
@@ -329,6 +326,82 @@ let test_golden_ledger_digests () =
         want
         (Glassdb_util.Hex.encode (Glassdb_util.Sha256.digest_string fp)))
     golden_ledger_digests
+
+(* Historical inclusion proofs (blocks 0-3 are rebuilt from the store,
+   since only the 8 most recent snapshots stay resident) and append-only
+   proofs from several old blocks, with the work of proving and verifying
+   each.  Recorded before the Pos_tree provers became one walk. *)
+let golden_history_digests =
+  [| "250d6168ac5980403b07bc63296396d20bb8d56e819f9f6c0d3df3a4834d72ab";
+     "77639bed5323484d90ec4eee287f2c9b589784907a05c9a2a4a3da350a62abb0";
+     "77db97e19350a865dd5b02547a8d17763e8497a7f0a46fbf5eb780fd75e89005";
+     "54ae31f89b8fbe4ace46af5e26339e958bf85e1377768350c2f36453129285ca";
+     "f7d718f81fd8e7d00621a9b1132a044424bd202bb247bf98e1c4439722d880ea";
+     "0cc13d2a8bb62f75579144e8373ee557ded07a6abdd15f52fd2b93b66dce5fc0";
+     "d27841b6f62adb2efb94290b1ca2485b3c33984fa7405a54efb7b4f17ff7fa63";
+     "fd3a2f36fdea9aa54c4dbe251c4a9ffb1b2e8ef1df98a0cf0894ae4f2f604781";
+     "9537c5dacb04c73193f3ea05a049bd2e3aaeb0faa3adebedc4fe29ef99f61f4f";
+     "4bb8539904a4b3b820c185c7cd1a0fdd934218bfb20941756a1b77a1fb490366" |]
+
+let history_outputs ~seed =
+  let l, digests =
+    List.fold_left
+      (fun (l, ds) (time, writes) ->
+        let l = Ledger.append_block l ~time ~writes ~txns:[] in
+        (l, Ledger.digest l :: ds))
+      (mk_ledger (), [])
+      (mk_batches ~seed ~n_batches:12 ~batch_size:12)
+  in
+  let digests = Array.of_list (List.rev digests) in
+  let d = Ledger.digest l in
+  let work (c : Glassdb_util.Work.counters) =
+    Printf.sprintf "%d/%d/%d" c.Glassdb_util.Work.hashes
+      c.Glassdb_util.Work.page_reads c.Glassdb_util.Work.cache_hits
+  in
+  let inclusion (block, key) =
+    let p, pw =
+      Glassdb_util.Work.measure (fun () -> Ledger.prove_inclusion l key ~block)
+    in
+    let value = Option.map (fun (v, _, _) -> v) (Ledger.get ~block l key) in
+    let ok, vw =
+      Glassdb_util.Work.measure (fun () ->
+          Ledger.verify_inclusion ~digest:d ~key ~value p)
+    in
+    Printf.sprintf "inclusion %d %s %s %s %b %s" block key
+      (Codec.encode_to_string Ledger.proof_codec p)
+      (work pw) ok (work vw)
+  in
+  let append old_block =
+    let p, pw =
+      Glassdb_util.Work.measure (fun () -> Ledger.prove_append_only l ~old_block)
+    in
+    let old_digest =
+      if old_block < 0 then Ledger.genesis else digests.(old_block)
+    in
+    let ok, vw =
+      Glassdb_util.Work.measure (fun () ->
+          Ledger.verify_append_only ~old_digest ~new_digest:d p)
+    in
+    Printf.sprintf "append %d %s %s %b %s" old_block
+      (Codec.encode_to_string Ledger.append_proof_codec p)
+      (work pw) ok (work vw)
+  in
+  List.map inclusion
+    (List.concat_map
+       (fun block -> List.map (fun k -> (block, k)) [ "key-00"; "key-17"; "key-39" ])
+       [ 0; 2; 5; 9; 11 ])
+  @ List.map append [ -1; 0; 3; 7; 10; 11 ]
+
+let test_golden_history_digests () =
+  Array.iteri
+    (fun seed want ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d history outputs" seed)
+        want
+        (Glassdb_util.Hex.encode
+           (Glassdb_util.Sha256.digest_string
+              (String.concat "\n" (history_outputs ~seed)))))
+    golden_history_digests
 
 let test_prove_inclusion_batches_maps_groups () =
   (* One proof per group, in input order, byte-identical to proving each
@@ -1029,7 +1102,9 @@ let () =
            test_prove_inclusion_batches_maps_groups ]);
       ("golden",
        [ Alcotest.test_case "10-seed golden digests" `Quick
-           test_golden_ledger_digests ]);
+           test_golden_ledger_digests;
+         Alcotest.test_case "10-seed historical and append-only proofs" `Quick
+           test_golden_history_digests ]);
       ("transactions",
        [ Alcotest.test_case "commit and read" `Quick test_txn_commit_and_read;
          Alcotest.test_case "cross-shard atomicity" `Quick test_txn_cross_shard_atomicity;

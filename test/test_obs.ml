@@ -298,7 +298,7 @@ let test_determinism () =
 (* --- benchdiff round-trip --- *)
 
 let doc wall =
-  Bench1.(
+  Obs.Export.(
     Obj
       [ ("schema", Str "glassdb.bench5/v5");
         ("stages",
@@ -317,24 +317,24 @@ let test_benchdiff_roundtrip () =
   Alcotest.(check int) "but still reported" 1 (List.length r.Diff.r_changes);
   (* wallclock is exempt, like in the determinism checks. *)
   let with_wall t =
-    Bench1.(Obj [ ("wallclock", Obj [ ("finished_unix_s", Num t) ]) ])
+    Obs.Export.(Obj [ ("wallclock", Obj [ ("finished_unix_s", Num t) ]) ])
   in
   let r = Diff.diff (with_wall 1.) (with_wall 99.) in
   Alcotest.(check int) "wallclock ignored" 0
     (List.length r.Diff.r_changes + Diff.regressions r);
   (* Canonical report survives its own parser. *)
-  let text = Bench1.to_string (Diff.report_json (Diff.diff (doc 1.0) (doc 1.3))) in
+  let text = Obs.Export.to_string (Diff.report_json (Diff.diff (doc 1.0) (doc 1.3))) in
   match Bench1.parse text with
   | exception Bench1.Bad m -> Alcotest.fail ("report does not parse: " ^ m)
   | j ->
     Alcotest.(check bool) "schema tag" true
-      (Bench1.field "schema" j = Some (Bench1.Str Diff.schema_id))
+      (Bench1.field "schema" j = Some (Obs.Export.Str Diff.schema_id))
 
 let test_benchgate_volatile () =
   (* The gate skips exactly the timing fields; a digest change still
      gates. *)
   let doc ~cores ~wall ~digest =
-    Bench1.(
+    Obs.Export.(
       Obj
         [ ("host_cores", Num cores);
           ("stages",
@@ -357,7 +357,7 @@ let test_benchgate_volatile () =
    fields and [row] each stage row. *)
 let bench5_doc ?(edit = Fun.id) ?(row = fun _ fields -> fields) () =
   let metrics =
-    Bench1.(
+    Obs.Export.(
       Obj
         [ ("schema", Str "glassdb.metrics/v1");
           ("counters", Obj [ ("c", Num 1.) ]);
@@ -365,10 +365,10 @@ let bench5_doc ?(edit = Fun.id) ?(row = fun _ fields -> fields) () =
           ("histograms", Obj [ ("h", Obj [ ("count", Num 1.) ]) ]);
           ("attribution", Obj []) ])
   in
-  Bench1.to_string
-    (Bench1.Obj
+  Obs.Export.to_string
+    (Obs.Export.Obj
        (edit
-          Bench1.
+          Obs.Export.
             [ ("schema", Str Bench5.schema_id);
               ("profile", Str "smoke");
               ("host_cores", Num 2.);
@@ -397,7 +397,7 @@ let test_bench5_accepts_v5 () =
 let test_bench5_rejects_old_schema () =
   let retag tag =
     List.map (function
-      | "schema", _ -> ("schema", Bench1.Str tag)
+      | "schema", _ -> ("schema", Obs.Export.Str tag)
       | f -> f)
   in
   List.iter
@@ -409,11 +409,11 @@ let test_bench5_rejects_missing_stage () =
     (fun missing ->
       let edit =
         List.map (function
-          | "stages", Bench1.Arr rows ->
+          | "stages", Obs.Export.Arr rows ->
             ( "stages",
-              Bench1.Arr
+              Obs.Export.Arr
                 (List.filter
-                   (fun r -> Bench1.field "stage" r <> Some (Bench1.Str missing))
+                   (fun r -> Bench1.field "stage" r <> Some (Obs.Export.Str missing))
                    rows) )
           | f -> f)
       in
@@ -430,7 +430,7 @@ let test_bench5_rejects_bad_rows () =
     (bench5_doc
        ~row:(fun name fields ->
          if name = "micro" then
-           ("digest", Bench1.Str "") :: List.remove_assoc "digest" fields
+           ("digest", Obs.Export.Str "") :: List.remove_assoc "digest" fields
          else fields)
        ());
   check_rejected "no metrics"

@@ -223,33 +223,32 @@ let test_proof_codecs_wire_format () =
      4-byte frame.  Decoding and re-encoding is byte-identical. *)
   let _, cfg = mk () in
   let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 300) in
-  let check : type a. string -> a Codec.codec -> a -> unit =
-   fun name c x ->
-    let bytes = Codec.encode_to_string c x in
+  let c = Pos_tree.proof_codec in
+  let check name p =
+    let bytes = Codec.encode_to_string c p in
     let chunks =
       Codec.of_string (fun r -> Codec.read_list r Codec.read_string) bytes
     in
     Alcotest.(check bool) (name ^ " has chunks") true (chunks <> []);
     Alcotest.(check int) (name ^ " size model")
       (List.fold_left (fun acc s -> acc + String.length s + 4) 0 chunks)
-      (c.Codec.size_bytes x);
+      (c.Codec.size_bytes p);
     Alcotest.(check string) (name ^ " decode roundtrips") bytes
       (Codec.encode_to_string c (Codec.decode_of_string c bytes))
   in
-  let p = Pos_tree.prove t "key-00042" in
-  check "proof" Pos_tree.proof_codec p;
-  Alcotest.(check (list string)) "proof chunks on the wire"
-    (Pos_tree.proof_chunks p)
-    (Codec.of_string
-       (fun r -> Codec.read_list r Codec.read_string)
-       (Codec.encode_to_string Pos_tree.proof_codec p));
-  let mp, _ = Pos_tree.prove_batch t [ "key-00001"; "key-00200"; "absent" ] in
-  check "multiproof" Pos_tree.multiproof_codec mp;
-  check "range proof" Pos_tree.range_proof_codec
-    (Pos_tree.prove_range t ~lo:"key-00100" ~hi:"key-00150")
+  check "single-key proof" (Pos_tree.prove t "key-00042");
+  check "batch proof"
+    (fst (Pos_tree.prove_batch t [ "key-00001"; "key-00200"; "absent" ]));
+  check "range proof" (Pos_tree.prove_range t ~lo:"key-00100" ~hi:"key-00150")
+
+(* A proof's chunks as they travel on the wire, and a proof forged from
+   chunk strings through the public codec, as a malicious server would. *)
+let strings_of_proof p =
+  Codec.of_string
+    (fun r -> Codec.read_list r Codec.read_string)
+    (Codec.encode_to_string Pos_tree.proof_codec p)
 
 let proof_of_strings l =
-  (* Forge a proof through the public codec, as a malicious server would. *)
   Codec.decode_of_string Pos_tree.proof_codec
     (Codec.to_string (fun b -> Codec.write_list b Codec.write_string) l)
 
@@ -262,7 +261,72 @@ let test_proof_garbage_rejected () =
        (proof_of_strings [ "not a chunk" ]));
   Alcotest.(check bool) "empty proof vs non-empty tree" false
     (Pos_tree.verify ~root ~key:"key-00001" ~value:(Some "val-1")
-       (proof_of_strings []))
+       (proof_of_strings []));
+  (* A leaf chunk claiming 2^40 items but carrying one is rejected before
+     any allocation sized by the claim. *)
+  let inflated =
+    Codec.to_string
+      (fun b () ->
+        Buffer.add_char b 'L';
+        Codec.write_varint b (1 lsl 40);
+        Codec.write_string b "key-00001";
+        Codec.write_string b "val-1")
+      ()
+  in
+  Alcotest.(check bool) "inflated item count" false
+    (Pos_tree.verify ~root ~key:"key-00001" ~value:(Some "val-1")
+       (proof_of_strings [ inflated ]))
+
+(* A proof is exactly the chunks its walk enters, in walk order.  For a
+   single key, a batch and a range alike, a valid chunk of the same tree
+   appended, a chunk duplicated, the list reversed, or any chunk sent for
+   an empty query must be rejected. *)
+let test_proofs_canonical_form () =
+  let _, cfg = mk () in
+  let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 800) in
+  let root = Pos_tree.root_hash t in
+  let foreign =
+    List.nth (List.rev (strings_of_proof (Pos_tree.prove t "key-00799"))) 0
+  in
+  let rejected name accepts chunks =
+    if accepts (proof_of_strings chunks) then Alcotest.failf "%s accepted" name
+  in
+  let canonical name accepts p =
+    let chunks = strings_of_proof p in
+    Alcotest.(check bool) (name ^ ": honest proof verifies") true (accepts p);
+    Alcotest.(check bool) (name ^ ": several chunks, none foreign") true
+      (List.length chunks > 1 && not (List.mem foreign chunks));
+    rejected (name ^ " + foreign chunk") accepts (chunks @ [ foreign ]);
+    rejected (name ^ " + duplicated root") accepts (List.hd chunks :: chunks);
+    rejected (name ^ " + duplicated last chunk") accepts
+      (chunks @ [ List.nth (List.rev chunks) 0 ]);
+    rejected (name ^ " reversed") accepts (List.rev chunks)
+  in
+  canonical "single key"
+    (Pos_tree.verify ~root ~key:"key-00007" ~value:(Some "val-7"))
+    (Pos_tree.prove t "key-00007");
+  let batch, items =
+    Pos_tree.prove_batch t [ "key-00007"; "key-00400"; "key-00400~" ]
+  in
+  canonical "batch" (Pos_tree.verify_batch ~root ~items) batch;
+  let lo = "key-00100" and hi = "key-00150" in
+  canonical "range"
+    (Pos_tree.verify_range ~root ~lo ~hi
+       ~bindings:(Pos_tree.bindings_range t ~lo ~hi))
+    (Pos_tree.prove_range t ~lo ~hi);
+  let some = strings_of_proof (Pos_tree.prove t "key-00007") in
+  rejected "chunks for no keys" (Pos_tree.verify_batch ~root ~items:[]) some;
+  rejected "chunks for an empty range"
+    (Pos_tree.verify_range ~root ~lo ~hi:lo ~bindings:[])
+    some;
+  rejected "chunks for an inverted range"
+    (Pos_tree.verify_range ~root ~lo:hi ~hi:lo ~bindings:[])
+    some;
+  rejected "chunks for the empty tree"
+    (Pos_tree.verify ~root:Hash.empty ~key:"key-00007" ~value:None)
+    some;
+  Alcotest.(check bool) "no chunks for an empty range" true
+    (Pos_tree.verify_range ~root ~lo ~hi:lo ~bindings:[] (proof_of_strings []))
 
 let test_proof_size_scales_logarithmically () =
   let _, cfg = mk ~pattern_bits:4 () in
@@ -291,17 +355,6 @@ let prop_proofs_verify =
 
 (* --- batched multiproofs --- *)
 
-let strings_of_multiproof mp =
-  Codec.of_string
-    (fun r -> Codec.read_list r Codec.read_string)
-    (Codec.encode_to_string Pos_tree.multiproof_codec mp)
-
-let multiproof_of_strings l =
-  (* Forge a multiproof through the public codec, as a malicious server
-     would. *)
-  Codec.decode_of_string Pos_tree.multiproof_codec
-    (Codec.to_string (fun b -> Codec.write_list b Codec.write_string) l)
-
 let test_multiproof_roundtrip () =
   let _, cfg = mk () in
   let kvs = kvs_of 600 in
@@ -321,13 +374,13 @@ let test_multiproof_roundtrip () =
     items;
   Alcotest.(check bool) "verifies" true (Pos_tree.verify_batch ~root ~items mp);
   let mp' =
-    Codec.decode_of_string Pos_tree.multiproof_codec
-      (Codec.encode_to_string Pos_tree.multiproof_codec mp)
+    Codec.decode_of_string Pos_tree.proof_codec
+      (Codec.encode_to_string Pos_tree.proof_codec mp)
   in
   Alcotest.(check bool) "verifies after codec roundtrip" true
     (Pos_tree.verify_batch ~root ~items mp');
   Alcotest.(check bool) "size positive" true
-    (Pos_tree.multiproof_codec.Codec.size_bytes mp > 0)
+    (Pos_tree.proof_codec.Codec.size_bytes mp > 0)
 
 let test_multiproof_adversarial () =
   let _, cfg = mk () in
@@ -350,9 +403,9 @@ let test_multiproof_adversarial () =
     (Pos_tree.verify_batch ~root ~items:(tamper "nope" (Some "ghost")) mp);
   (* Dropped chunk: removing any chunk breaks the hash chain for the keys
      routed through it. *)
-  let chunks = strings_of_multiproof mp in
+  let chunks = strings_of_proof mp in
   let dropped_last =
-    multiproof_of_strings (List.filteri (fun i _ -> i < List.length chunks - 1) chunks)
+    proof_of_strings (List.filteri (fun i _ -> i < List.length chunks - 1) chunks)
   in
   Alcotest.(check bool) "dropped chunk rejected" false
     (Pos_tree.verify_batch ~root ~items dropped_last);
@@ -364,7 +417,7 @@ let test_multiproof_adversarial () =
     Bytes.to_string b
   in
   let tampered_chunk =
-    multiproof_of_strings
+    proof_of_strings
       (List.mapi (fun i s -> if i = List.length chunks - 1 then corrupt s else s) chunks)
   in
   Alcotest.(check bool) "tampered chunk rejected" false
@@ -378,7 +431,7 @@ let test_multiproof_adversarial () =
   Alcotest.(check bool) "empty tree: absences verify" true
     (Pos_tree.verify_batch ~root:Hash.empty ~items:items0 mp0);
   Alcotest.(check bool) "empty proof vs non-empty tree rejected" false
-    (Pos_tree.verify_batch ~root ~items (multiproof_of_strings []))
+    (Pos_tree.verify_batch ~root ~items (proof_of_strings []))
 
 let test_multiproof_cheaper_than_independent () =
   let _, cfg = mk () in
@@ -413,7 +466,7 @@ let test_multiproof_cheaper_than_independent () =
       0 proofs
   in
   Alcotest.(check bool) "batched proof strictly smaller" true
-    (Pos_tree.multiproof_codec.Codec.size_bytes mp < independent_bytes)
+    (Pos_tree.proof_codec.Codec.size_bytes mp < independent_bytes)
 
 let prop_multiproof_model =
   QCheck.Test.make ~name:"multiproofs verify for random maps and key sets"
@@ -593,7 +646,7 @@ let fingerprint ~seed =
   let t2 = Pos_tree.insert_batch t1 upd in
   let mp, items = Pos_tree.prove_batch t2 keys in
   let buf = Buffer.create 4096 in
-  Pos_tree.multiproof_codec.Codec.encode buf mp;
+  Pos_tree.proof_codec.Codec.encode buf mp;
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf k;
@@ -617,6 +670,72 @@ let test_golden_digests () =
         want
         (Hex.encode (Sha256.digest_string (fingerprint ~seed))))
     golden_fingerprints
+
+(* Range and single-key proof bytes for ten seeded trees, with the work of
+   proving and verifying each.  The ranges cover an interior span, an edge
+   span holding only the last key, a span below every key, and two empty
+   ranges (lo = hi and lo > hi); the keys are a present and an absent
+   one.  Recorded before the provers and verifiers became one walk. *)
+let golden_walk_fingerprints =
+  [| "c1d006f5c43a37db6791ba8474ed459f985147ef2490d554c91224b696221150";
+     "24b3d3b952c27d4668c9c8a4d13b0cfbe2dfc67bb0a100027ff1a86fc2b684c7";
+     "775233be065620d48177c0b586a7858ec97efe042e5f0c5c5d4659691a8f0bcb";
+     "61d6ed758ec71aadc294b844ed18025a24c6ffd6afb3437de5534f76ead13b8d";
+     "f5c341ca920eb8d5c2529416ab942007d9906c5c20a58a19df4e8be96426e382";
+     "8e39813775518f1d971a8967176ddac49420686612f197c927c2f68477b5303c";
+     "67c69096e72672223730d4215aacc5a688a3b7d0c294f6a87bec3bce9a31e396";
+     "467d5c5a264bb56dd564f799624cae81239006e1103661b051c118143edd20de";
+     "8c48d10626e16956a928a25446e7f093169c08a560529be4bc5c342d538f736a";
+     "20ed8f021352eef39683998365cc9047a853f7760a8d52394ba9942e88b2ac64" |]
+
+let walk_fingerprint ~seed =
+  let rng = Rng.create (1000 + seed) in
+  let kvs =
+    List.init (100 + Rng.int_below rng 700) (fun _ ->
+        (Rng.alphanum rng (1 + Rng.int_below rng 8), Rng.alphanum rng 6))
+  in
+  let _, cfg = mk () in
+  let t = Pos_tree.insert_batch (Pos_tree.empty cfg) kvs in
+  let root = Pos_tree.root_hash t in
+  let keys = Array.of_list (List.map fst (Pos_tree.bindings t)) in
+  let n = Array.length keys in
+  let a = keys.(Rng.int_below rng (n / 2)) in
+  let b = keys.((n / 2) + Rng.int_below rng (n / 2)) in
+  let last = keys.(n - 1) in
+  let work (c : Work.counters) =
+    Printf.sprintf "%d/%d/%d" c.Work.hashes c.Work.page_reads c.Work.cache_hits
+  in
+  let range (lo, hi) =
+    let p, pw = Work.measure (fun () -> Pos_tree.prove_range t ~lo ~hi) in
+    let bindings = Pos_tree.bindings_range t ~lo ~hi in
+    let ok, vw =
+      Work.measure (fun () -> Pos_tree.verify_range ~root ~lo ~hi ~bindings p)
+    in
+    Printf.sprintf "range %S %S %d %s %s %b %s" lo hi (List.length bindings)
+      (Hex.encode (Codec.encode_to_string Pos_tree.proof_codec p))
+      (work pw) ok (work vw)
+  in
+  let single (k, v) =
+    let p, pw = Work.measure (fun () -> Pos_tree.prove t k) in
+    let ok, vw = Work.measure (fun () -> Pos_tree.verify ~root ~key:k ~value:v p) in
+    Printf.sprintf "key %S %s %s %b %s" k
+      (Hex.encode (Codec.encode_to_string Pos_tree.proof_codec p))
+      (work pw) ok (work vw)
+  in
+  String.concat "\n"
+    (List.map range
+       [ (a, b); (last, last ^ "\x00"); ("", keys.(0)); (a, a); (b, a) ]
+     @ List.map single [ (a, Pos_tree.get t a); (a ^ "!", None) ])
+
+let test_golden_walks () =
+  Array.iteri
+    (fun i want ->
+      let seed = i + 1 in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d walk fingerprint" seed)
+        want
+        (Hex.encode (Sha256.digest_string (walk_fingerprint ~seed))))
+    golden_walk_fingerprints
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -656,7 +775,9 @@ let () =
        @ qsuite [ prop_range_model ]);
       ("golden",
        [ Alcotest.test_case "10-seed build/update/proof digests" `Quick
-           test_golden_digests ]);
+           test_golden_digests;
+         Alcotest.test_case "10-seed range and single-key proofs" `Quick
+           test_golden_walks ]);
       ("proofs",
        [ Alcotest.test_case "presence and absence" `Quick test_proofs_presence_absence;
          Alcotest.test_case "stale snapshot rejected" `Quick test_proof_stale_snapshot_rejected_on_new_root;
@@ -664,5 +785,7 @@ let () =
          Alcotest.test_case "codecs pin the wire format" `Quick
            test_proof_codecs_wire_format;
          Alcotest.test_case "garbage rejected" `Quick test_proof_garbage_rejected;
+         Alcotest.test_case "only the canonical walk is accepted" `Quick
+           test_proofs_canonical_form;
          Alcotest.test_case "size logarithmic" `Quick test_proof_size_scales_logarithmically ]
        @ qsuite [ prop_proofs_verify ]) ]

@@ -129,16 +129,19 @@ let test_ledger_batch_proof_dedup () =
                  wtid = "t" }))
         ~txns:[]
   done;
-  let proofs =
-    List.init 10 (fun i -> Ledger.prove_current !l (Printf.sprintf "key-%03d" i))
-  in
+  let keys = List.init 10 (Printf.sprintf "key-%03d") in
   let separate =
     List.fold_left
-      (fun a p -> a + Ledger.proof_codec.Codec.size_bytes p)
-      0 proofs
+      (fun a k -> a + Ledger.proof_codec.Codec.size_bytes (Ledger.prove_current !l k))
+      0 keys
   in
-  let batched = Ledger.batch_size_bytes proofs in
-  Alcotest.(check bool) "batching shares chunks" true (batched < separate / 2)
+  let batch = Ledger.prove_inclusion_batch !l keys ~block:(Ledger.latest_block !l) in
+  let batched = Ledger.batch_proof_codec.Codec.size_bytes batch in
+  Alcotest.(check bool)
+    (Printf.sprintf "batching shares chunks (%d < %d / 2)" batched separate)
+    true (batched < separate / 2);
+  Alcotest.(check bool) "batch verifies" true
+    (Ledger.verify_inclusion_batch ~digest:(Ledger.digest !l) batch)
 
 (* --- verifiable scans on the ledger --- *)
 

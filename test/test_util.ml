@@ -160,32 +160,8 @@ let test_hash_combine_feed () =
             push (Hash.leaf "a");
             push (Hash.kv "k" "v"))))
 
-let test_hash_digest_many () =
-  let inputs = Array.init 17 (fun i -> String.make i 'q') in
-  (* Byte-for-byte equal to the serial one-context-per-input digests, and
-     Work charges one hash per input either way. *)
-  let serial, sw =
-    Work.measure (fun () -> Array.map Hash.of_string inputs)
-  in
-  let batched, bw =
-    Work.measure (fun () -> Hash.digest_many (fun s push -> push s) inputs)
-  in
-  Alcotest.(check (array string)) "digest_many = serial digests"
-    (Array.map Hex.encode serial) (Array.map Hex.encode batched);
-  Alcotest.(check int) "identical hash accounting" sw.Work.hashes
-    bw.Work.hashes;
-  let pairs = [| ("a", "1"); ("bb", "22"); ("", "") |] in
-  Alcotest.(check (array string)) "combine_many = per-input combines"
-    (Array.map (fun (x, y) -> Hex.encode (Hash.combine [ x; y ])) pairs)
-    (Array.map Hex.encode
-       (Hash.combine_many
-          (fun (x, y) push ->
-            push x;
-            push y)
-          pairs))
-
 (* [Work.hashes] counts digests: one per primitive or combine call,
-   whatever the input length, and one per input of a batch. *)
+   whatever the input length. *)
 let test_hash_counts_digests () =
   let hashes f = (snd (Work.measure f)).Work.hashes in
   Alcotest.(check int) "10 KiB of_string" 1
@@ -196,12 +172,9 @@ let test_hash_counts_digests () =
     (hashes (fun () -> ignore (Hash.interior Hash.empty Hash.empty)));
   Alcotest.(check int) "combine of 50 digests" 1
     (hashes (fun () -> ignore (Hash.combine (List.init 50 (fun _ -> Hash.empty)))));
-  Alcotest.(check int) "digest_many of 9" 9
+  Alcotest.(check int) "combine_feed of 50 fragments" 1
     (hashes (fun () ->
-         ignore (Hash.digest_many (fun s push -> push s) (Array.make 9 "m"))));
-  Alcotest.(check int) "combine_many of 4" 4
-    (hashes (fun () ->
-         ignore (Hash.combine_many (fun s push -> push s) (Array.make 4 "m"))))
+         ignore (Hash.combine_feed (fun push -> for _ = 1 to 50 do push "m" done))))
 
 exception Feeder_failed
 
@@ -221,15 +194,6 @@ let test_hash_feeder_exception () =
     (Hex.encode (Sha256.digest_string "\x02ab"))
     (Hex.encode (Hash.combine_feed (fun push -> push "a"; push "b")));
   raises (fun () ->
-      Hash.digest_many
-        (fun i push ->
-          push "x";
-          if i = 1 then raise Feeder_failed)
-        [| 0; 1; 2 |]);
-  Alcotest.(check (array string)) "digest_many after a failed batch"
-    [| Hex.encode (Sha256.digest_string "y") |]
-    (Array.map Hex.encode (Hash.digest_many (fun s push -> push s) [| "y" |]));
-  raises (fun () ->
       Hash.combine_feed (fun _ ->
           ignore (Hash.leaf "inner");
           raise Feeder_failed));
@@ -237,20 +201,28 @@ let test_hash_feeder_exception () =
     (Hex.encode (Sha256.digest_string "\x00z"))
     (Hex.encode (Hash.leaf "z"))
 
-(* combine_many feeders may memoize item hashes through the primitive ops
-   mid-stream, exactly like combine_feed feeders. *)
-let test_hash_combine_many_primitives () =
-  let items = [| ("a", "1"); ("b", "2"); ("c", "3") |] in
-  Alcotest.(check (array string)) "primitive calls inside a batch feeder"
+(* A chunk hash is one combine_feed whose feeder memoizes each item's
+   hash through the primitive ops mid-stream; back-to-back chunks must each
+   equal the combine of their precomputed item hashes. *)
+let test_hash_combine_feed_primitives () =
+  let chunks = [| [ ("a", "1"); ("b", "2") ]; [ ("c", "3") ]; [] |] in
+  Alcotest.(check (array string)) "primitive calls inside chunk feeders"
     (Array.map
-       (fun (k, v) -> Hex.encode (Hash.combine [ Hash.leaf k; Hash.kv k v ]))
-       items)
-    (Array.map Hex.encode
-       (Hash.combine_many
-          (fun (k, v) push ->
-            push (Hash.leaf k);
-            push (Hash.kv k v))
-          items))
+       (fun items ->
+         Hex.encode
+           (Hash.combine
+              (List.concat_map (fun (k, v) -> [ Hash.leaf k; Hash.kv k v ]) items)))
+       chunks)
+    (Array.map
+       (fun items ->
+         Hex.encode
+           (Hash.combine_feed (fun push ->
+                List.iter
+                  (fun (k, v) ->
+                    push (Hash.leaf k);
+                    push (Hash.kv k v))
+                  items)))
+       chunks)
 
 (* --- Codec --- *)
 
@@ -587,13 +559,12 @@ let () =
          Alcotest.test_case "kv unambiguous" `Quick test_hash_kv_unambiguous;
          Alcotest.test_case "combine_feed streams" `Quick
            test_hash_combine_feed;
-         Alcotest.test_case "batched digests" `Quick test_hash_digest_many;
          Alcotest.test_case "hashes count digests" `Quick
            test_hash_counts_digests;
          Alcotest.test_case "feeder exception leaves contexts clean" `Quick
            test_hash_feeder_exception;
          Alcotest.test_case "primitives inside batch feeders" `Quick
-           test_hash_combine_many_primitives ]);
+           test_hash_combine_feed_primitives ]);
       ("codec",
        [ Alcotest.test_case "malformed input" `Quick test_codec_malformed;
          Alcotest.test_case "trailing bytes" `Quick test_codec_trailing ]

@@ -59,7 +59,7 @@ let () =
        prerr_endline ("benchdiff: " ^ m);
        exit 2
      | Ok r ->
-       if !json then print_endline (Bench1.to_string (Diff.report_json r))
+       if !json then print_endline (Obs.Export.to_string (Diff.report_json r))
        else print_string (Diff.report_text r);
        exit (if Diff.regressions r = 0 then 0 else 1))
   | _ -> usage ()

@@ -11,6 +11,7 @@
    alias. *)
 
 open Bench1
+open Obs.Export
 module Diff = Benchdiff_core.Diff
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("benchdiff-smoke: FAILED: " ^ m); exit 1) fmt

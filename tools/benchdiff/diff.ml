@@ -21,6 +21,7 @@
    elements pair by index. *)
 
 open Bench1
+open Obs.Export
 
 type change = {
   c_path : string;

@@ -31,7 +31,7 @@ val regressions : report -> int
 
 val diff :
   ?threshold:float -> ?volatile:string list ->
-  Bench1.json -> Bench1.json -> report
+  Obs.Export.json -> Obs.Export.json -> report
 (** [diff old new]: [threshold] is the relative change above which a
     numeric leaf is reported (default 0.10).  Object fields named in
     [volatile] are skipped entirely on both sides (in addition to the
@@ -47,7 +47,7 @@ val diff_strings :
 val schema_id : string
 (** ["glassdb.benchdiff/v1"]. *)
 
-val report_json : report -> Bench1.json
+val report_json : report -> Obs.Export.json
 (** Canonical machine-readable report (the [--json] output): schema tag,
     threshold, changes (path/old/new/delta/regression), notes, and the
     gating [regressions] total. *)
