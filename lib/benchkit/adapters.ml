@@ -17,16 +17,16 @@ let merge_phase_stats per_node =
 
 (* --- GlassDB --- *)
 
+(* The deployment [p] describes.  The baselines run on its network and RPC
+   policy too (see [Glassdb.Config.dist]). *)
+let config p =
+  Glassdb.Config.make ~shards:p.shards ~workers:p.workers
+    ~persist_interval:p.persist_interval ~batching:p.batching
+    ~sync_persist:p.sync_persist ~pattern_bits:p.pattern_bits
+    ~rpc_timeout:p.rpc_timeout ~verify_delay:p.verify_delay ()
+
 let make_glassdb name p =
-  let cl =
-    Glassdb.Cluster.create
-      (Glassdb.Config.make ~shards:p.shards ~workers:p.workers
-         ~persist_interval:p.persist_interval ~batching:p.batching
-         ~sync_persist:p.sync_persist ~pattern_bits:p.pattern_bits
-         ~rpc_timeout:p.rpc_timeout ~rpc_retries:p.rpc_retries
-         ~retry_backoff:p.retry_backoff ~verify_delay:p.verify_delay
-         ?faults:p.faults ())
-  in
+  let cl = Glassdb.Cluster.create (config p) in
   let mk_client i =
     let c = Glassdb.Client.create cl ~id:i ~sk:(Printf.sprintf "sk-%d" i) in
     let to_v (v : Glassdb.Client.verification) =
@@ -106,6 +106,34 @@ let glassdb_no_dv_no_ba =
         make_glassdb "GlassDB-no-DV-no-BA"
           { p with batching = false; sync_persist = true; verify_delay = 0. }) }
 
+(* --- the baselines: QLDB* and LedgerDB* --- *)
+
+(* A baseline's verified read: [fetch] the key's current-value proof, take
+   the claimed value from the proof's own journal [entry], and [verify]
+   it; [none] explains a missing proof. *)
+let verified_get ~fetch ~entry ~verify ~bytes ~none failures k =
+  let started = Sim.now () in
+  match fetch k with
+  | Error e -> Error e
+  | Ok None -> Error (Error.Unavailable none)
+  | Ok (Some proof) ->
+    let value =
+      Option.bind (entry proof) (fun e ->
+          Option.bind (Kv.entry_writes e) (List.assoc_opt k))
+    in
+    let ok =
+      Cost.charge Cost.default (fun () ->
+          match value with
+          | None -> false
+          | Some v -> verify ~key:k ~value:v proof)
+    in
+    if not ok then incr failures;
+    Ok
+      { ok;
+        proof_bytes = bytes proof;
+        latency = Sim.now () -. started;
+        keys = 1 }
+
 (* --- QLDB* --- *)
 
 let make_qldb p =
@@ -115,53 +143,25 @@ let make_qldb p =
           { Qldb.default_config with Qldb.workers = p.workers }
           ~shard_id:i)
   in
-  let cl = Qldb.Cluster.create ~rpc_timeout:p.rpc_timeout nodes in
+  let cl = Glassdb.Config.dist (config p) Qldb.Cluster.create nodes in
   let mk_client i =
     let c = Qldb.Cluster.Client.create cl ~id:i ~sk:(Printf.sprintf "sk-%d" i) in
     let failures = ref 0 in
-    let verified_get k =
-      let shard = Qldb.Cluster.shard_of_key cl k in
-      let started = Sim.now () in
-      match
-        Qldb.Cluster.call cl ~phase:("get-proof", 1) ~shard
-          ~req_bytes:(String.length k + 32)
-          ~resp_bytes:(fun r ->
-            match r with
-            | Some p -> Qldb.Node.current_proof_bytes p
-            | None -> 16)
-          (fun nd -> Qldb.Node.get_verified_latest nd k)
-      with
-      | Error e -> Error e
-      | Ok None -> Error (Error.Unavailable "key unwritten")
-      | Ok (Some proof) ->
-        let d = proof.Qldb.Node.cp_digest in
-        let value =
-          (* The claimed value is inside the entry; re-derive it. *)
-          match
-            Codec.of_string
-              (fun r ->
-                let _tid = Codec.read_string r in
-                Codec.read_list r (fun r ->
-                    let k = Codec.read_string r in
-                    let v = Codec.read_string r in
-                    (k, v)))
-              proof.Qldb.Node.cp_entry
-          with
-          | writes -> List.assoc_opt k writes
-          | exception _ -> None
-        in
-        let ok =
-          Cost.charge Cost.default (fun () ->
-              match value with
-              | None -> false
-              | Some v -> Qldb.Node.verify_current ~digest:d ~key:k ~value:v proof)
-        in
-        if not ok then incr failures;
-        Ok
-          { ok;
-            proof_bytes = Qldb.Node.current_proof_bytes proof;
-            latency = Sim.now () -. started;
-            keys = 1 }
+    let verified_get =
+      verified_get ~none:"key unwritten" failures
+        ~fetch:(fun k ->
+          Qldb.Cluster.Client.with_retry c ~label:"get-proof" (fun () ->
+              Qldb.Cluster.call cl ~phase:("get-proof", 1)
+                ~shard:(Qldb.Cluster.shard_of_key cl k)
+                ~req_bytes:(String.length k + 32)
+                ~resp_bytes:(function
+                  | Some p -> Qldb.Node.current_proof_bytes p
+                  | None -> 16)
+                (fun nd -> Qldb.Node.get_verified_latest nd k)))
+        ~entry:(fun p -> Some p.Qldb.Node.cp_entry)
+        ~verify:(fun ~key ~value p ->
+          Qldb.Node.verify_current ~digest:p.Qldb.Node.cp_digest ~key ~value p)
+        ~bytes:Qldb.Node.current_proof_bytes
     in
     let execute ~verified body =
       let written = ref [] in
@@ -235,7 +235,7 @@ let make_ledgerdb p =
             batch_interval = p.persist_interval }
           ~shard_id:i)
   in
-  let cl = Ledgerdb.Cluster.create ~rpc_timeout:p.rpc_timeout nodes in
+  let cl = Glassdb.Config.dist (config p) Ledgerdb.Cluster.create nodes in
   let running = ref false in
   let batcher nd =
     let pool = Ledgerdb.Node.workers nd in
@@ -247,13 +247,10 @@ let make_ledgerdb p =
              writes through the shared disk. *)
           Sim.Resource.use pool (fun () ->
               let t0 = Sim.now () in
-              let folded, work =
-                Work.measure (fun () -> Ledgerdb.Node.flush_batch nd)
+              let folded =
+                Ledgerdb.Cluster.charge nd (fun () ->
+                    Ledgerdb.Node.flush_batch nd)
               in
-              let cpu, io = Cost.split_time (Ledgerdb.Node.cost nd) work in
-              Sim.sleep cpu;
-              if io > 0. then
-                Sim.Resource.use (Ledgerdb.Node.disk nd) (fun () -> Sim.sleep io);
               if folded > 0 then
                 Ledgerdb.Node.note_phase nd "persist"
                   ((Sim.now () -. t0) /. float_of_int folded));
@@ -266,52 +263,25 @@ let make_ledgerdb p =
     let c = Ledgerdb.Cluster.Client.create cl ~id:i ~sk:(Printf.sprintf "sk-%d" i) in
     let failures = ref 0 in
     let pending = ref [] in (* (due, key, value) *)
-    let verified_get k =
-      let shard = Ledgerdb.Cluster.shard_of_key cl k in
-      let started = Sim.now () in
-      match
-        Ledgerdb.Cluster.call cl ~phase:("get-proof", 1) ~shard
-          ~req_bytes:(String.length k + 32)
-          ~resp_bytes:(fun r ->
-            match r with
-            | Some p -> Ledgerdb.Node.current_proof_bytes p
-            | None -> 16)
-          (fun nd -> Ledgerdb.Node.get_verified_latest nd k)
-      with
-      | Error e -> Error e
-      | Ok None -> Error (Error.Unavailable "not yet covered")
-      | Ok (Some proof) ->
-        let d = proof.Ledgerdb.Node.lp_digest in
-        let value =
-          match List.rev proof.Ledgerdb.Node.lp_clues with
-          | (_, entry, _) :: _ ->
-            (match
-               Codec.of_string
-                 (fun r ->
-                   let _tid = Codec.read_string r in
-                   Codec.read_list r (fun r ->
-                       let k = Codec.read_string r in
-                       let v = Codec.read_string r in
-                       (k, v)))
-                 entry
-             with
-             | writes -> List.assoc_opt k writes
-             | exception _ -> None)
-          | [] -> None
-        in
-        let ok =
-          Cost.charge Cost.default (fun () ->
-              match value with
-              | None -> false
-              | Some v ->
-                Ledgerdb.Node.verify_current ~digest:d ~key:k ~value:v proof)
-        in
-        if not ok then incr failures;
-        Ok
-          { ok;
-            proof_bytes = Ledgerdb.Node.current_proof_bytes proof;
-            latency = Sim.now () -. started;
-            keys = 1 }
+    let verified_get =
+      verified_get ~none:"not yet covered" failures
+        ~fetch:(fun k ->
+          Ledgerdb.Cluster.Client.with_retry c ~label:"get-proof" (fun () ->
+              Ledgerdb.Cluster.call cl ~phase:("get-proof", 1)
+                ~shard:(Ledgerdb.Cluster.shard_of_key cl k)
+                ~req_bytes:(String.length k + 32)
+                ~resp_bytes:(function
+                  | Some p -> Ledgerdb.Node.current_proof_bytes p
+                  | None -> 16)
+                (fun nd -> Ledgerdb.Node.get_verified_latest nd k)))
+        ~entry:(fun p ->
+          match List.rev p.Ledgerdb.Node.lp_clues with
+          | (_, entry, _) :: _ -> Some entry
+          | [] -> None)
+        ~verify:(fun ~key ~value p ->
+          Ledgerdb.Node.verify_current ~digest:p.Ledgerdb.Node.lp_digest ~key
+            ~value p)
+        ~bytes:Ledgerdb.Node.current_proof_bytes
     in
     let execute ~verified body =
       let written = ref [] in

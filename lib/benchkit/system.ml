@@ -10,9 +10,6 @@ type params = {
   batching : bool;
   sync_persist : bool;
   rpc_timeout : float;
-  rpc_retries : int;
-  retry_backoff : float;
-  faults : Faults.t option;
 }
 
 let default_params =
@@ -23,10 +20,7 @@ let default_params =
     pattern_bits = 5;
     batching = true;
     sync_persist = false;
-    rpc_timeout = 0.5;
-    rpc_retries = 2;
-    retry_backoff = 0.01;
-    faults = None }
+    rpc_timeout = 0.5 }
 
 type verification = {
   ok : bool;

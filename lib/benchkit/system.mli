@@ -17,10 +17,9 @@ type params = {
   batching : bool;          (** GlassDB ablation: block batching *)
   sync_persist : bool;      (** GlassDB ablation: no deferred verification *)
   rpc_timeout : float;      (** per-RPC attempt deadline *)
-  rpc_retries : int;        (** retries after the first attempt *)
-  retry_backoff : float;    (** base backoff, doubled per retry *)
-  faults : Faults.t option; (** fault schedule (GlassDB; None = no faults) *)
 }
+(** Retries, backoff and the network take {!Glassdb.Config.default}'s
+    values, for every transactional system alike. *)
 
 val default_params : params
 

@@ -1,75 +1,36 @@
 module Kv = Txnkit.Kv
 module Error = Glassdb_util.Error
 module Codec = Glassdb_util.Codec
+module Rpc = Cluster.Rpc.Client
 
 type pending = { due : float; promise : Node.promise }
 
 type t = {
-  cid : int;
+  rpc : Rpc.c;
   sk : string;
   cluster : Cluster.t;
-  rpc_timeout : float;
-  verify_delay : float;
-  rpc_retries : int;
-  retry_backoff : float;
-  mutable seq : int;
   digests : Ledger.digest array;
   mutable pending : pending list;
   mutable failures : int;
-  mutable retries : int;
-  mutable abort_records : Kv.txn_id list;
-  m_retries : Obs.Metrics.counter;
 }
 
-let create ?rpc_timeout ?verify_delay ?rpc_retries ?retry_backoff cluster ~id
-    ~sk =
-  let cfg = Cluster.config_of cluster in
-  let dflt v field = match v with Some v -> v | None -> field in
-  { cid = id;
+let create cluster ~id ~sk =
+  { rpc = Rpc.create (Cluster.rpc cluster) ~id ~sk;
     sk;
     cluster;
-    rpc_timeout = dflt rpc_timeout cfg.Config.rpc_timeout;
-    verify_delay = dflt verify_delay cfg.Config.verify_delay;
-    rpc_retries = dflt rpc_retries cfg.Config.rpc_retries;
-    retry_backoff = dflt retry_backoff cfg.Config.retry_backoff;
-    seq = 0;
     digests = Array.make (Cluster.shards cluster) Ledger.genesis;
     pending = [];
-    failures = 0;
-    retries = 0;
-    abort_records = [];
-    m_retries =
-      Obs.Metrics.counter ~name:"glassdb.client.rpc_retries" () }
+    failures = 0 }
 
-let id t = t.cid
+let id t = Rpc.id t.rpc
 let public_key t = t.sk
 let digest_of_shard t s = t.digests.(s)
 let adopt_digest t ~shard digest = t.digests.(shard) <- digest
 let verification_failures t = t.failures
-let rpc_retry_count t = t.retries
+let rpc_retry_count t = Rpc.rpc_retry_count t.rpc
 let pending_verifications t = List.length t.pending
-let coordinator_aborts t = List.rev t.abort_records
-
-(* Bounded retry with exponential backoff.  Dispatch is on the error
-   CONSTRUCTOR — only transient transport errors ({!Error.retryable}) are
-   retried; conflicts, aborts and invalid proofs surface immediately.
-   [ctx] is the span the RPC belongs to: retry markers attach to its trace
-   instead of starting orphaned fresh events. *)
-let with_retry t ?ctx ~label f =
-  let rec go attempt =
-    match f () with
-    | Ok _ as ok -> ok
-    | Error e when Error.retryable e && attempt < t.rpc_retries ->
-      t.retries <- t.retries + 1;
-      Obs.Metrics.inc t.m_retries;
-      Obs.Trace.instant ~cat:"client" ~track:t.cid ?parent:ctx
-        ~attrs:[ ("op", label); ("attempt", string_of_int (attempt + 1)) ]
-        "rpc.retry";
-      Sim.sleep (t.retry_backoff *. (2. ** float_of_int attempt));
-      go (attempt + 1)
-    | Error _ as err -> err
-  in
-  go 0
+let coordinator_aborts t = Rpc.coordinator_aborts t.rpc
+let verify_delay t = (Cluster.config_of t.cluster).Config.verify_delay
 
 (* Accept a new digest only when the server proves it extends [from] —
    the digest the proof was requested against, i.e. the client's view when
@@ -114,8 +75,8 @@ let gossip a b =
     if ahead.Ledger.block_no >= 0 && not (Ledger.digest_equal ahead behind)
     then begin
       match
-        with_retry a ~label:"gossip" (fun () ->
-            Cluster.call a.cluster ~timeout:a.rpc_timeout ~shard:s ~req_bytes:64
+        Rpc.with_retry a.rpc ~label:"gossip" (fun () ->
+            Cluster.call a.cluster ~shard:s ~req_bytes:64
               ~resp_bytes:Ledger.append_proof_codec.Codec.size_bytes
               (fun nd ->
                 Node.prove_append_only nd ~old_block:behind.Ledger.block_no))
@@ -134,204 +95,18 @@ let gossip a b =
   done;
   !result
 
-(* --- transactions --- *)
+(* --- transactions: the shared 2PC client --- *)
 
-exception Abort of Error.t
+exception Abort = Rpc.Abort
 
-type handle = {
-  client : t;
-  tid : Kv.txn_id;
-  hctx : Obs.Trace.ctx; (* the enclosing execute span's trace context *)
-  mutable reads : (Kv.key * Kv.version) list;
-  buffer : (Kv.key, Kv.value) Hashtbl.t;
-  mutable write_order : Kv.key list; (* newest first *)
-}
+type handle = Rpc.handle
 
-let fresh_handle t ~ctx =
-  t.seq <- t.seq + 1;
-  { client = t;
-    tid = Kv.txn_id ~client:t.cid ~seq:t.seq;
-    hctx = ctx;
-    reads = [];
-    buffer = Hashtbl.create 8;
-    write_order = [] }
-
-let get h key =
-  match Hashtbl.find_opt h.buffer key with
-  | Some v -> Some v (* read-your-writes *)
-  | None ->
-    let t = h.client in
-    let shard = Cluster.shard_of_key t.cluster key in
-    (match
-       with_retry t ~ctx:h.hctx ~label:"read" (fun () ->
-           Cluster.call t.cluster ~timeout:t.rpc_timeout ~ctx:h.hctx ~shard
-             ~req_bytes:(String.length key + 16)
-             ~resp_bytes:(fun r ->
-               match r with Some (v, _) -> String.length v + 16 | None -> 16)
-             (fun nd -> Node.get nd key))
-     with
-     | Error e -> raise (Abort e)
-     | Ok None ->
-       h.reads <- (key, -1) :: h.reads;
-       None
-     | Ok (Some (v, version)) ->
-       h.reads <- (key, version) :: h.reads;
-       Some v)
-
-let put h key value =
-  if not (Hashtbl.mem h.buffer key) then h.write_order <- key :: h.write_order;
-  Hashtbl.replace h.buffer key value
-
-let rw_sets_by_shard h =
-  let t = h.client in
-  let tbl = Hashtbl.create 8 in
-  let touch shard =
-    match Hashtbl.find_opt tbl shard with
-    | Some rw -> rw
-    | None ->
-      let rw = (ref [], ref []) in
-      Hashtbl.replace tbl shard rw;
-      rw
-  in
-  List.iter
-    (fun (k, ver) ->
-      let reads, _ = touch (Cluster.shard_of_key t.cluster k) in
-      reads := (k, ver) :: !reads)
-    h.reads;
-  List.iter
-    (fun k ->
-      let _, writes = touch (Cluster.shard_of_key t.cluster k) in
-      writes := (k, Hashtbl.find h.buffer k) :: !writes)
-    (List.rev h.write_order);
-  Glassdb_util.Det.sorted_bindings ~cmp:Int.compare tbl
-  |> List.map (fun (shard, (reads, writes)) ->
-         (shard, { Kv.reads = !reads; writes = !writes }))
-
-(* Fan an RPC out to several shards and join all answers.  Every call is
-   time-bounded (each attempt sleeps out at most the RPC timeout, retries
-   are finite), so a plain ivar read cannot hang. *)
-let fan_out calls =
-  let ivs =
-    List.map
-      (fun (shard, call) ->
-        let iv = Sim.Ivar.create () in
-        Sim.spawn (fun () -> Sim.Ivar.fill iv (call ()));
-        (shard, iv))
-      calls
-  in
-  List.map (fun (shard, iv) -> (shard, Sim.Ivar.read iv)) ivs
-
-(* Release prepare state across [per_shard], retrying through transient
-   errors so a partitioned-but-alive shard does not keep the write locks
-   once the link heals.  Shards that stay unreachable past the retry
-   budget either crashed (locks already wiped, replay conservatively
-   aborts the undecided prepare) or will reject the stale tid later; the
-   coordinator records the abort either way. *)
-let abort_round t ?ctx ~tid per_shard =
-  t.abort_records <- tid :: t.abort_records;
-  ignore
-    (fan_out
-       (List.map
-          (fun (shard, _) ->
-            ( shard,
-              fun () ->
-                with_retry t ?ctx ~label:"abort" (fun () ->
-                    Cluster.call t.cluster ~timeout:t.rpc_timeout ?ctx ~shard ~req_bytes:32
-                      ~resp_bytes:(fun _ -> 8)
-                      (fun nd -> Node.abort nd tid)) ))
-          per_shard))
+let get = Rpc.get
+let put = Rpc.put
 
 let execute t body =
-  Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~name:"execute" @@ fun ectx ->
-  let h = fresh_handle t ~ctx:ectx in
-  match body h with
-  | exception Abort err ->
-    (* Unconditional cleanup: even though reads take no OCC locks, any
-       shard this transaction already spoke to must forget the tid. *)
-    (match rw_sets_by_shard h with
-     | [] -> ()
-     | per_shard -> abort_round t ~ctx:ectx ~tid:h.tid per_shard);
-    Error err
-  | value ->
-    let per_shard = rw_sets_by_shard h in
-    if per_shard = [] then Ok (value, [])
-    else begin
-      (* Prepare round.  The transaction is signed once over its whole
-         read/write set; every shard validates only its own slice but
-         stores the full signed transaction for auditing.  Retransmitted
-         prepares are idempotent server-side, so retries are safe. *)
-      let full_rw =
-        { Kv.reads = List.rev h.reads;
-          writes =
-            List.rev_map (fun k -> (k, Hashtbl.find h.buffer k)) h.write_order }
-      in
-      let stxn = Kv.sign ~sk:t.sk ~tid:h.tid ~client:t.cid full_rw in
-      let verdicts =
-        Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~parent:ectx
-          ~name:"prepare" (fun pctx ->
-            fan_out
-              (List.map
-                 (fun (shard, rw) ->
-                   ( shard,
-                     fun () ->
-                       with_retry t ~ctx:pctx ~label:"prepare" (fun () ->
-                           Cluster.call t.cluster ~timeout:t.rpc_timeout ~phase:("prepare", 1) ~ctx:pctx ~shard
-                             ~req_bytes:(Kv.signed_txn_bytes stxn)
-                             ~resp_bytes:(fun _ -> 8)
-                             (fun nd -> Node.prepare nd ~rw stxn)) ))
-                 per_shard))
-      in
-      let all_ok =
-        List.for_all
-          (function _, Ok Txnkit.Occ.Ok -> true | _ -> false)
-          verdicts
-      in
-      if all_ok then begin
-        let promise_lists =
-          Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~parent:ectx
-            ~name:"commit" (fun cctx ->
-              fan_out
-                (List.map
-                   (fun (shard, _) ->
-                     ( shard,
-                       fun () ->
-                         with_retry t ~ctx:cctx ~label:"commit" (fun () ->
-                             Cluster.call t.cluster ~timeout:t.rpc_timeout ~phase:("commit", 1) ~ctx:cctx ~shard
-                               ~req_bytes:32
-                               ~resp_bytes:(fun ps -> 16 + (48 * List.length ps))
-                               (fun nd -> Node.commit nd ~ctx:cctx h.tid)) ))
-                   per_shard))
-        in
-        let promises =
-          List.concat_map
-            (function _, Ok ps -> ps | _, Error _ -> [])
-            promise_lists
-        in
-        Ok (value, promises)
-      end
-      else begin
-        (* Abort round: unconditional, with the same retry budget as any
-           other RPC, so prepare state cannot leak on shards that answered
-           Ok while a sibling conflicted or timed out. *)
-        abort_round t ~ctx:ectx ~tid:h.tid per_shard;
-        let err =
-          (* A conflict is the most informative verdict; otherwise the
-             first transport error explains the abort. *)
-          List.fold_left
-            (fun acc (_, v) ->
-              match (acc, v) with
-              | Some (Error.Txn_conflict _), _ -> acc
-              | _, Ok (Txnkit.Occ.Conflict r) -> Some (Error.Txn_conflict r)
-              | None, Error e -> Some e
-              | acc, _ -> acc)
-            None verdicts
-        in
-        Error
-          (match err with
-           | Some e -> e
-           | None -> Error.Txn_conflict "conflict")
-      end
-    end
+  Result.map (fun (value, promises) -> (value, List.concat promises))
+    (Rpc.execute t.rpc body)
 
 (* --- verified operations --- *)
 
@@ -343,7 +118,7 @@ type verification = {
 }
 
 let queue_promises t promises =
-  let due = Sim.now () +. t.verify_delay in
+  let due = Sim.now () +. verify_delay t in
   t.pending <-
     List.fold_left (fun acc p -> { due; promise = p } :: acc) t.pending promises
 
@@ -353,7 +128,7 @@ let verified_put t key value =
   | Ok ((), []) -> Error (Error.Unavailable "no promise returned")
   | Ok ((), promise :: _) ->
     t.pending <-
-      { due = Sim.now () +. t.verify_delay; promise } :: t.pending;
+      { due = Sim.now () +. verify_delay t; promise } :: t.pending;
     Ok promise
 
 (* One verified read: a proof-carrying RPC to the key's shard, then the
@@ -361,13 +136,13 @@ let verified_put t key value =
    ([current] demands the digest's own latest block).  [name] is both the
    span name and the retry label; [none] is the error for a [None] reply. *)
 let verified_read t key ~name ~req_bytes ~none ~current read =
-  Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~name @@ fun vctx ->
+  Obs.Trace.span_ctx ~cat:"client" ~track:(id t) ~name @@ fun vctx ->
   let shard = Cluster.shard_of_key t.cluster key in
   let from = t.digests.(shard) in
   let started = Sim.now () in
   match
-    with_retry t ~ctx:vctx ~label:name (fun () ->
-        Cluster.call t.cluster ~timeout:t.rpc_timeout ~ctx:vctx ~shard
+    Rpc.with_retry t.rpc ~ctx:vctx ~label:name (fun () ->
+        Cluster.call t.cluster ~ctx:vctx ~shard
           ~req_bytes:(String.length key + req_bytes)
           ~resp_bytes:(fun r ->
             match r with
@@ -418,7 +193,7 @@ let verified_get_at t key ~block =
 let get_history t key ~n =
   let shard = Cluster.shard_of_key t.cluster key in
   match
-    Cluster.call t.cluster ~timeout:t.rpc_timeout ~shard ~req_bytes:(String.length key + 24)
+    Cluster.call t.cluster ~shard ~req_bytes:(String.length key + 24)
       ~resp_bytes:(fun l -> 16 + List.fold_left (fun a (v, _) -> a + String.length v + 8) 0 l)
       (fun nd -> Node.get_history nd key ~n)
   with
@@ -433,7 +208,7 @@ let flush_verifications t ?(force = false) () =
   t.pending <- not_due;
   if due = [] then []
   else begin
-    Obs.Trace.span_ctx ~cat:"client" ~track:t.cid ~name:"deferred-verify"
+    Obs.Trace.span_ctx ~cat:"client" ~track:(id t) ~name:"deferred-verify"
       ~attrs:[ ("keys", string_of_int (List.length due)) ]
     @@ fun fctx ->
     (* Batch by shard: one get-proof request carrying all due promises. *)
@@ -450,7 +225,7 @@ let flush_verifications t ?(force = false) () =
         let from = t.digests.(shard) in
         let started = Sim.now () in
         let reply =
-          Cluster.call t.cluster ~timeout:t.rpc_timeout ~phase:("get-proof", List.length ps) ~ctx:fctx ~shard
+          Cluster.call t.cluster ~phase:("get-proof", List.length ps) ~ctx:fctx ~shard
             ~req_bytes:(64 * List.length ps)
             ~resp_bytes:(fun (proofs, appendp, _) ->
               List.fold_left

@@ -7,20 +7,15 @@
     promises, and checks every proof it receives — updating the digest only
     when the append-only proof from the previously cached digest verifies.
 
-    Every RPC has a per-attempt timeout with bounded exponential-backoff
-    retries; errors are the shared typed {!Glassdb_util.Error.t}, and
-    retry/abort policy dispatches on the constructor.  Cleanup of 2PC
-    prepare state is unconditional: every abort path runs a (retried)
-    abort round so half-prepared shards do not leak OCC locks. *)
+    Transactions, retries and 2PC cleanup are the shared layer's
+    ({!Vlayer.Dist}); timeouts, retries and the verification delay come
+    from the cluster's {!Config.t}. *)
 
 module Kv = Txnkit.Kv
 
 type t
 
-val create :
-  ?rpc_timeout:float -> ?verify_delay:float -> ?rpc_retries:int ->
-  ?retry_backoff:float -> Cluster.t -> id:int -> sk:string -> t
-(** Each optional knob defaults to the cluster {!Config.t}'s value. *)
+val create : Cluster.t -> id:int -> sk:string -> t
 
 val id : t -> int
 val public_key : t -> string
@@ -28,26 +23,19 @@ val public_key : t -> string
 
 (* --- transactions --- *)
 
-type handle
-(** In-flight transaction context. *)
+type handle = Cluster.Rpc.Client.handle
 
 exception Abort of Glassdb_util.Error.t
-(** Raised inside {!execute}'s body by failed reads (node down, timeout
-    after retries); turns into [Error _] after the unconditional abort
-    round. *)
+(** {!Cluster.Rpc.Client.Abort}: raised inside {!execute}'s body by failed
+    reads; turns into [Error _] after the abort round. *)
 
 val execute :
   t -> (handle -> 'a) ->
   ('a * Node.promise list, Glassdb_util.Error.t) result
-(** Run a transaction body; on success returns its value plus the promises
-    for its writes.  The commit point runs 2PC across the shards touched;
-    any abort path (body exception, conflict, exhausted retries) first
-    releases prepare state on every contacted shard and records the abort
-    on the coordinator (see {!coordinator_aborts}). *)
+(** {!Cluster.Rpc.Client.execute}, with the committed shards' promises
+    concatenated. *)
 
 val get : handle -> Kv.key -> Kv.value option
-(** Read within the transaction (read-your-writes on buffered puts). *)
-
 val put : handle -> Kv.key -> Kv.value -> unit
 
 (* --- verified operations: the benchmark's VerifiedPut / VerifiedGetLatest
@@ -111,10 +99,5 @@ val verification_failures : t -> int
     or bug; benchmarks assert it stays zero. *)
 
 val rpc_retry_count : t -> int
-(** RPC attempts beyond the first, across all operations (mirrors the
-    [glassdb.client.rpc_retries] counter). *)
-
 val coordinator_aborts : t -> Kv.txn_id list
-(** Coordinator-side abort records, oldest first: every transaction this
-    client decided to abort (a recovering shard could consult these; the
-    tests assert cleanup really ran). *)
+(** As in {!Cluster.Rpc.Client}. *)

@@ -7,6 +7,11 @@
 
 module Kv = Txnkit.Kv
 
+module Rpc :
+  Vlayer.Dist.S with type node = Node.t and type commit_result = Node.promise list
+(** The shared RPC + 2PC layer over GlassDB nodes; a commit answers with
+    the shard's promises. *)
+
 type t
 
 val create : Config.t -> t
@@ -28,24 +33,14 @@ val node : t -> int -> Node.t
 val nodes : t -> Node.t array
 val shard_of_key : t -> Kv.key -> int
 
+val rpc : t -> Rpc.t
+
 val call :
-  t -> ?timeout:float -> ?phase:string * int -> ?ctx:Obs.Trace.ctx ->
-  shard:int ->
+  t -> ?phase:string * int -> ?ctx:Obs.Trace.ctx -> shard:int ->
   req_bytes:int -> resp_bytes:('a -> int) -> (Node.t -> 'a) ->
   ('a, Glassdb_util.Error.t) result
-(** One RPC: request transfer, queue for a worker, execute the handler with
-    its measured work charged as service time, response transfer.  Errors
-    are typed — [Node_down] when the shard is crashed, [Timeout] when the
-    request or response was dropped — and always surface after the caller
-    has slept out the full [rpc_timeout] ([?timeout] overrides the
-    configured one per call), exactly like a timed-out wire.
-    Note a [Timeout] on the response leg means the handler DID run.
-
-    [ctx] is the caller's trace context, carried in the message envelope:
-    the server-side span is parented on it (so remote prepare/commit spans
-    nest under the originating client span in the Chrome trace), and any
-    fault-injected drop or delay on either leg is annotated against it as
-    a [net.drop] / [net.delay] instant on the shard's track. *)
+(** {!Rpc.call} without a lock: one RPC with the configured timeout and
+    typed errors. *)
 
 val persist_all : t -> now:float -> int
 (** Drain every live shard's committed backlog into its ledger at

@@ -52,6 +52,12 @@ let make ?(shards = 4) ?(workers = 8) ?(persist_interval = 0.05)
 
 let default = make ()
 
+let dist cfg create =
+  create
+    ~net:(Net.create ~rtt:cfg.rtt ~bandwidth:cfg.bandwidth ~faults:cfg.faults ())
+    ~rpc_timeout:cfg.rpc_timeout ~rpc_retries:cfg.rpc_retries
+    ~retry_backoff:cfg.retry_backoff
+
 let node cfg =
   { Node.persist_interval = cfg.persist_interval;
     workers = cfg.workers;

@@ -50,5 +50,15 @@ val make :
 
 val default : t
 
+val dist :
+  t ->
+  (net:Net.t -> rpc_timeout:float -> rpc_retries:int -> retry_backoff:float ->
+   'a) ->
+  'a
+(** Apply a {!Vlayer.Dist.S.create} to a fresh network with this
+    deployment's [rtt], [bandwidth] and [faults], and to its RPC timeout
+    and retry policy.  GlassDB's cluster and the baselines' clusters are
+    all built through it, so every system runs on the same settings. *)
+
 val node : t -> Node.config
 (** The per-node slice of the configuration. *)

@@ -129,23 +129,16 @@ module Node = struct
       Occ.prepare t.occ ~tid:stxn.Kv.tid ~current_version:(current_version t)
         rw
 
-  let entry_of tid writes =
-    Codec.to_string
-      (fun buf () ->
-        Codec.write_string buf tid;
-        Codec.write_list buf
-          (fun b (k, v) ->
-            Codec.write_string b k;
-            Codec.write_string b v)
-          writes)
-      ()
+  type commit_result = unit
 
-  let commit t tid =
+  let commit_result_bytes () = 16
+
+  let commit t ?ctx:_ tid =
     match Occ.commit t.occ ~tid with
     | None -> ()
     | Some rw ->
       t.commits <- t.commits + 1;
-      let entry = entry_of tid rw.Kv.writes in
+      let entry = Kv.encode_entry tid rw.Kv.writes in
       let seq = t.journal_count in
       push t.journal t.journal_count entry;
       t.journal_count <- t.journal_count + 1;
@@ -169,6 +162,8 @@ module Node = struct
   let abort t tid =
     t.aborts <- t.aborts + 1;
     Occ.abort t.occ ~tid
+
+  let write_locked t k = Occ.is_write_locked t.occ k
 
   let read t k = Hashtbl.find_opt t.latest k
 
@@ -271,19 +266,6 @@ module Node = struct
           lp_clues;
           lp_digest = digest t }
 
-  let parse_entry entry =
-    Codec.of_string
-      (fun r ->
-        let tid = Codec.read_string r in
-        let writes =
-          Codec.read_list r (fun r ->
-              let k = Codec.read_string r in
-              let v = Codec.read_string r in
-              (k, v))
-        in
-        (tid, writes))
-      entry
-
   let verify_current ~digest:d ~key ~value p =
     (* 1. ccMPT certifies the clue count. *)
     Mpt.verify ~root:d.d_ccmpt ~key ~value:(Some (string_of_int p.lp_count))
@@ -297,19 +279,16 @@ module Node = struct
            Merkle_log.verify_inclusion ~root:d.d_bamt ~size:d.d_size
              ~index:jseq ~leaf:entry proof
            &&
-           match parse_entry entry with
-           | exception _ -> false
-           | _, writes -> List.mem_assoc key writes)
+           match Kv.entry_writes entry with
+           | None -> false
+           | Some writes -> List.mem_assoc key writes)
          p.lp_clues
     &&
     (match List.rev p.lp_clues with
      | (_, entry, _) :: _ ->
-       (match parse_entry entry with
-        | exception _ -> false
-        | _, writes ->
-          (match List.assoc_opt key writes with
-           | Some v -> String.equal v value
-           | None -> false))
+       (match Option.bind (Kv.entry_writes entry) (List.assoc_opt key) with
+        | Some v -> String.equal v value
+        | None -> false)
      | [] -> false)
 
   let append_only_proof t ~old_size =

@@ -108,22 +108,16 @@ module Node = struct
       Occ.prepare t.occ ~tid:stxn.Kv.tid ~current_version:(current_version t)
         rw
 
-  let commit t tid =
+  type commit_result = unit
+
+  let commit_result_bytes () = 16
+
+  let commit t ?ctx:_ tid =
     match Occ.commit t.occ ~tid with
     | None -> ()
     | Some rw ->
       t.commits <- t.commits + 1;
-      let entry =
-        Codec.to_string
-          (fun buf () ->
-            Codec.write_string buf tid;
-            Codec.write_list buf
-              (fun b (k, v) ->
-                Codec.write_string b k;
-                Codec.write_string b v)
-              rw.Kv.writes)
-          ()
-      in
+      let entry = Kv.encode_entry tid rw.Kv.writes in
       (* Synchronous authenticated-structure update: append the entry,
          persist it, and recompute the Merkle root — all in the critical
          path (this is what makes QLDB*'s commit expensive). *)
@@ -157,6 +151,8 @@ module Node = struct
   let abort t tid =
     t.aborts <- t.aborts + 1;
     Occ.abort t.occ ~tid
+
+  let write_locked t k = Occ.is_write_locked t.occ k
 
   let read t k = Storage.Bptree.find t.index k
 
@@ -197,23 +193,10 @@ module Node = struct
           cp_scan = List.rev !scan;
           cp_digest = digest t }
 
-  let parse_entry entry =
-    Codec.of_string
-      (fun r ->
-        let tid = Codec.read_string r in
-        let writes =
-          Codec.read_list r (fun r ->
-              let k = Codec.read_string r in
-              let v = Codec.read_string r in
-              (k, v))
-        in
-        (tid, writes))
-      entry
-
   let verify_current ~digest:d ~key ~value p =
-    match parse_entry p.cp_entry with
-    | exception _ -> false
-    | _, writes ->
+    match Kv.entry_writes p.cp_entry with
+    | None -> false
+    | Some writes ->
       List.exists
         (fun (k, v) -> String.equal k key && String.equal v value)
         writes

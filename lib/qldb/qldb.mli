@@ -42,9 +42,16 @@ module Node : sig
 
   val commit_lock : t -> Sim.Resource.t option
   val prepare : t -> rw:Kv.rw_set -> Kv.signed_txn -> Txnkit.Occ.verdict
-  val commit : t -> Kv.txn_id -> unit
+
+  type commit_result = unit
+
+  val commit_result_bytes : commit_result -> int
+  val commit : t -> ?ctx:Obs.Trace.ctx -> Kv.txn_id -> commit_result
   val abort : t -> Kv.txn_id -> unit
   val read : t -> Kv.key -> (Kv.value * Kv.version) option
+
+  val write_locked : t -> Kv.key -> bool
+  (** Some prepared transaction holds the key's write lock. *)
 
   val log_size : t -> int
   val storage_bytes : t -> int
@@ -80,4 +87,5 @@ module Node : sig
   val recover : t -> unit
 end
 
-module Cluster : module type of Vlayer.Dist.Make (Node)
+module Cluster :
+  Vlayer.Dist.S with type node = Node.t and type commit_result = unit

@@ -20,17 +20,26 @@ let shard_of_key ~shards key =
   String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFFF) key;
   !h mod shards
 
+let encode_writes buf writes =
+  Codec.write_list buf
+    (fun b (k, v) ->
+      Codec.write_string b k;
+      Codec.write_string b v)
+    writes
+
+let decode_writes r =
+  Codec.read_list r (fun r ->
+      let k = Codec.read_string r in
+      let v = Codec.read_string r in
+      (k, v))
+
 let encode_rw_set buf rw =
   Codec.write_list buf
     (fun b (k, v) ->
       Codec.write_string b k;
       Codec.write_varint b v)
     rw.reads;
-  Codec.write_list buf
-    (fun b (k, v) ->
-      Codec.write_string b k;
-      Codec.write_string b v)
-    rw.writes
+  encode_writes buf rw.writes
 
 let decode_rw_set r =
   let reads =
@@ -39,13 +48,26 @@ let decode_rw_set r =
         let v = Codec.read_varint r in
         (k, v))
   in
-  let writes =
-    Codec.read_list r (fun r ->
-        let k = Codec.read_string r in
-        let v = Codec.read_string r in
-        (k, v))
-  in
+  let writes = decode_writes r in
   { reads; writes }
+
+let encode_entry tid writes =
+  Codec.to_string
+    (fun buf () ->
+      Codec.write_string buf tid;
+      encode_writes buf writes)
+    ()
+
+let entry_writes entry =
+  match
+    Codec.of_string
+      (fun r ->
+        ignore (Codec.read_string r);
+        decode_writes r)
+      entry
+  with
+  | writes -> Some writes
+  | exception _ -> None
 
 type signed_txn = {
   tid : txn_id;

@@ -27,6 +27,13 @@ val shard_of_key : shards:int -> key -> int
 val encode_rw_set : Buffer.t -> rw_set -> unit
 val decode_rw_set : Codec.reader -> rw_set
 
+val encode_entry : txn_id -> (key * value) list -> string
+(** The baselines' journal entry: a committed transaction's id and its
+    writes. *)
+
+val entry_writes : string -> (key * value) list option
+(** The writes of an encoded entry; [None] when the bytes do not decode. *)
+
 type signed_txn = {
   tid : txn_id;
   client : int;

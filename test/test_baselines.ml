@@ -10,7 +10,7 @@ let in_sim f =
 (* --- QLDB* --- *)
 
 let qldb_cluster ?(shards = 2) () =
-  Qldb.Cluster.create
+  Glassdb.Config.dist Glassdb.Config.default Qldb.Cluster.create
     (Array.init shards (fun i -> Qldb.Node.create Qldb.default_config ~shard_id:i))
 
 let test_qldb_txn_and_read () =

@@ -102,6 +102,55 @@ let test_verified_workload_trillian () =
   Alcotest.(check bool) "trillian ops completed" true (r.Driver.r_commits > 10);
   Alcotest.(check int) "no failures" 0 r.Driver.r_failures
 
+(* --- baseline golden digests --- *)
+
+(* Everything a fault-free baseline run reports, as exact text: counts,
+   storage, blocks, and the virtual-time statistics (latency, proof size,
+   verify latency, per-phase service time) printed as hex floats. *)
+let result_fingerprint (r : Driver.result) =
+  let stats name s =
+    Printf.sprintf "%s=%d/%h/%h/%h" name (Glassdb_util.Stats.count s)
+      (Glassdb_util.Stats.total s)
+      (Glassdb_util.Stats.min_value s)
+      (Glassdb_util.Stats.max_value s)
+  in
+  String.concat "\n"
+    ([ Printf.sprintf "commits=%d aborts=%d storage=%d blocks=%d" r.Driver.r_commits
+         r.Driver.r_aborts r.Driver.r_storage_bytes r.Driver.r_blocks;
+       Printf.sprintf "verifications=%d keys=%d failures=%d"
+         r.Driver.r_verifications r.Driver.r_verified_keys r.Driver.r_failures;
+       stats "latency" r.Driver.r_latency;
+       stats "proof_bytes" r.Driver.r_proof_bytes;
+       stats "verify_latency" r.Driver.r_verify_latency ]
+    @ List.map (fun (phase, s) -> stats phase s) r.Driver.r_phase_stats)
+
+(* Per baseline: YCSB transactions at seeds 1-3, then Workload-X verified
+   operations at seed 1.  Recorded before the baselines moved onto the
+   shared RPC + 2PC functor that GlassDB uses, so the move is pinned to
+   leave fault-free baseline output unchanged. *)
+let golden_baseline_digests =
+  [ ("QLDB*", Adapters.qldb,
+     "9153b85628853dcbe20164a7ed74f38afb94317be3fbb5c5b562bd525605d302");
+    ("LedgerDB*", Adapters.ledgerdb,
+     "aaca071160d98ad0e4113ad333f368e0f4134b18d6d3b2fedcc08eba3d888cfe") ]
+
+let baseline_outputs sys =
+  let setup seed = { (tiny_setup sys) with Driver.seed } in
+  List.map (fun seed -> Driver.run_ycsb (setup seed) tiny_ycsb) [ 1; 2; 3 ]
+  @ [ Driver.run_verified (setup 1) tiny_ycsb ~pick:Ycsb.workload_x ]
+  |> List.map result_fingerprint
+  |> String.concat "\n--\n"
+
+let test_golden_baselines () =
+  List.iter
+    (fun (name, sys, want) ->
+      Alcotest.(check string)
+        (name ^ " run digest")
+        want
+        (Glassdb_util.Hex.encode
+           (Glassdb_util.Sha256.digest_string (baseline_outputs sys))))
+    golden_baseline_digests
+
 let test_timeline_crash_dip () =
   let buckets =
     Driver.run_timeline
@@ -237,7 +286,9 @@ let () =
          Alcotest.test_case "deterministic" `Quick test_driver_deterministic;
          Alcotest.test_case "workload-X verified" `Quick test_verified_workload_x;
          Alcotest.test_case "workload-X on trillian" `Quick test_verified_workload_trillian;
-         Alcotest.test_case "crash timeline" `Quick test_timeline_crash_dip ]);
+         Alcotest.test_case "crash timeline" `Quick test_timeline_crash_dip;
+         Alcotest.test_case "baseline golden digests" `Quick
+           test_golden_baselines ]);
       ("tpcc",
        [ Alcotest.test_case "load + all kinds" `Quick test_tpcc_load_and_each_kind;
          Alcotest.test_case "new-order consistency" `Quick test_tpcc_new_order_consistency;

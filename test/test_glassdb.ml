@@ -460,16 +460,20 @@ let test_proof_codecs_roundtrip () =
 
 (* --- Cluster transactions --- *)
 
-let with_cluster ?(shards = 4) ?(sync_persist = false) ?faults f =
+let run_cluster cfg f =
   let out = ref None in
   Sim.run (fun () ->
-      let cl =
-        Cluster.create (Glassdb.Config.make ~shards ~sync_persist ?faults ())
-      in
+      let cl = Cluster.create cfg in
       Cluster.start cl;
       out := Some (f cl);
       Cluster.stop cl);
   Option.get !out
+
+let with_cluster ?(shards = 4) ?(sync_persist = false) ?rpc_timeout
+    ?verify_delay f =
+  run_cluster
+    (Glassdb.Config.make ~shards ~sync_persist ?rpc_timeout ?verify_delay ())
+    f
 
 let test_txn_commit_and_read () =
   with_cluster (fun cl ->
@@ -549,9 +553,7 @@ let test_txn_conflict_aborts () =
 
 let test_deferred_verification_roundtrip () =
   with_cluster (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.1 cl ~id:1 ~sk:"k1"
-      in
+      let c = Client.create cl ~id:1 ~sk:"k1" in
       let results = ref [] in
       for i = 0 to 19 do
         match Client.verified_put c (Printf.sprintf "vk%d" i) (string_of_int i) with
@@ -601,8 +603,8 @@ let test_verified_get_latest_and_at () =
       | Error e -> Alcotest.failf "verified get_at failed: %s" (Error.to_string e))
 
 let test_sync_persist_mode () =
-  with_cluster ~sync_persist:true (fun cl ->
-      let c = Client.create ~rpc_timeout:1.0 ~verify_delay:0.0 cl ~id:1 ~sk:"k" in
+  with_cluster ~sync_persist:true ~verify_delay:0. (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       (match Client.verified_put c "s" "1" with
        | Ok p -> Alcotest.(check int) "block 0 promised" 0 p.Node.pr_block
        | Error e -> Alcotest.failf "put failed: %s" (Error.to_string e));
@@ -662,10 +664,8 @@ let test_auditor_detects_unauthorized_txn () =
       Alcotest.(check bool) "violation recorded" true (Auditor.failures a > 0))
 
 let test_crash_aborts_then_recovery_preserves_data () =
-  with_cluster ~shards:2 (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.05 ~verify_delay:0.1 cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~rpc_timeout:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       ignore (Client.execute c (fun h -> Client.put h "r0" "before"));
       Sim.sleep 0.2;
       (* Find the shard of a key and crash it. *)
@@ -861,58 +861,122 @@ let test_seeded_promise_property () =
       done)
     [ true; false ]
 
-(* --- 2PC abort-path cleanup under injected faults --- *)
+(* --- 2PC abort-path cleanup under injected faults, on every system --- *)
 
-let test_mid_2pc_crash_releases_prepare_locks () =
-  with_cluster ~shards:2 (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.05 ~rpc_retries:1 ~retry_backoff:0.01
-          cl ~id:1 ~sk:"k"
-      in
-      let key_on shard =
-        let rec go i =
-          let k = Printf.sprintf "mp%d" i in
-          if Cluster.shard_of_key cl k = shard then k else go (i + 1)
+(* A system on the shared RPC + 2PC layer: [run cfg f] builds a cluster of
+   [cfg.shards] nodes on [cfg]'s network and RPC policy, arms [cfg.faults]
+   and runs [f] in the simulator; [crash] takes a shard down. *)
+module type ON_SHARED_LAYER = sig
+  module Rpc : Vlayer.Dist.S
+
+  val run :
+    Glassdb.Config.t -> (Rpc.t -> crash:(int -> unit) -> unit) -> unit
+
+  val write_locked : Rpc.node -> Kv.key -> bool
+end
+
+module Fault_cases (Sys : ON_SHARED_LAYER) = struct
+  module C = Sys.Rpc.Client
+
+  let mid_2pc_crash_releases_prepare_locks () =
+    Sys.run
+      (Glassdb.Config.make ~shards:2 ~rpc_timeout:0.05 ~rpc_retries:1
+         ~retry_backoff:0.01 ())
+      (fun cl ~crash ->
+        let c = C.create cl ~id:1 ~sk:"k" in
+        let key_on shard =
+          let rec go i =
+            let k = Printf.sprintf "mp%d" i in
+            if Sys.Rpc.shard_of_key cl k = shard then k else go (i + 1)
+          in
+          go 0
         in
-        go 0
-      in
-      let k0 = key_on 0 and k1 = key_on 1 in
-      (* Shard 1 dies before the transaction commits: its prepare round
-         fails, and the coordinator must release shard 0's prepare state. *)
-      Cluster.crash_node cl 1;
-      (match
-         Client.execute c (fun h ->
-             Client.put h k0 "a";
-             Client.put h k1 "b")
-       with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.fail "committed through a dead shard");
-      Alcotest.(check bool) "no leaked OCC lock on surviving shard" false
-        (Node.write_locked (Cluster.node cl 0) k0);
-      Alcotest.(check bool) "coordinator recorded the abort" true
-        (Client.coordinator_aborts c <> []);
-      (* The surviving shard accepts the same key immediately. *)
-      match Client.execute c (fun h -> Client.put h k0 "again") with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "retry after abort: %s" (Error.to_string e))
+        let k0 = key_on 0 and k1 = key_on 1 in
+        (* Shard 1 dies before the transaction commits: its prepare round
+           fails, and the coordinator must release shard 0's prepare
+           state. *)
+        crash 1;
+        (match
+           C.execute c (fun h ->
+               C.put h k0 "a";
+               C.put h k1 "b")
+         with
+         | Error _ -> ()
+         | Ok _ -> Alcotest.fail "committed through a dead shard");
+        Alcotest.(check bool) "no leaked OCC lock on surviving shard" false
+          (Sys.write_locked (Sys.Rpc.node cl 0) k0);
+        Alcotest.(check bool) "coordinator recorded the abort" true
+          (C.coordinator_aborts c <> []);
+        (* The surviving shard accepts the same key immediately. *)
+        match C.execute c (fun h -> C.put h k0 "again") with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "retry after abort: %s" (Error.to_string e))
 
-let test_partition_heals_and_retries_succeed () =
-  let faults = Faults.create ~seed:5 () in
-  Faults.schedule faults ~at:0.01 (Faults.Partition 0);
-  Faults.schedule faults ~at:0.30 (Faults.Heal 0);
-  with_cluster ~shards:1 ~faults (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.1 ~rpc_retries:5 ~retry_backoff:0.05
-          cl ~id:1 ~sk:"k"
-      in
-      Sim.sleep 0.05 (* land inside the partition window *);
-      match Client.execute c (fun h -> Client.put h "p" "1") with
-      | Ok _ ->
-        Alcotest.(check bool) "attempts retried through the partition" true
-          (Client.rpc_retry_count c > 0)
-      | Error e ->
-        Alcotest.failf "retries never outlasted the partition: %s"
-          (Error.to_string e))
+  let partition_heals_and_retries_succeed () =
+    let faults = Faults.create ~seed:5 () in
+    Faults.schedule faults ~at:0.01 (Faults.Partition 0);
+    Faults.schedule faults ~at:0.30 (Faults.Heal 0);
+    Sys.run
+      (Glassdb.Config.make ~shards:1 ~rpc_timeout:0.1 ~rpc_retries:5
+         ~retry_backoff:0.05 ~faults ())
+      (fun cl ~crash:_ ->
+        let c = C.create cl ~id:1 ~sk:"k" in
+        Sim.sleep 0.05 (* land inside the partition window *);
+        match C.execute c (fun h -> C.put h "p" "1") with
+        | Ok _ ->
+          Alcotest.(check bool) "attempts retried through the partition" true
+            (C.rpc_retry_count c > 0)
+        | Error e ->
+          Alcotest.failf "retries never outlasted the partition: %s"
+            (Error.to_string e))
+
+  let cases suffix =
+    [ Alcotest.test_case ("mid-2PC crash releases locks" ^ suffix) `Quick
+        mid_2pc_crash_releases_prepare_locks;
+      Alcotest.test_case ("partition heals, retries succeed" ^ suffix) `Quick
+        partition_heals_and_retries_succeed ]
+end
+
+module Glassdb_faults = Fault_cases (struct
+  module Rpc = Cluster.Rpc
+
+  let run cfg f =
+    run_cluster cfg (fun cl -> f (Cluster.rpc cl) ~crash:(Cluster.crash_node cl))
+
+  let write_locked = Node.write_locked
+end)
+
+(* The baselines' nodes on the same layer; the schedule's crash and
+   restart actions go straight to the nodes. *)
+let run_baseline create ~node ~crash ~recover cfg f =
+  Sim.run (fun () ->
+      let nodes = Array.init cfg.Glassdb.Config.shards node in
+      let cl = Glassdb.Config.dist cfg create nodes in
+      let crash i = crash nodes.(i) in
+      Faults.run cfg.faults ~crash ~restart:(fun i -> recover nodes.(i));
+      f cl ~crash)
+
+module Qldb_faults = Fault_cases (struct
+  module Rpc = Qldb.Cluster
+
+  let run =
+    run_baseline Rpc.create
+      ~node:(fun i -> Qldb.Node.create Qldb.default_config ~shard_id:i)
+      ~crash:Qldb.Node.crash ~recover:Qldb.Node.recover
+
+  let write_locked = Qldb.Node.write_locked
+end)
+
+module Ledgerdb_faults = Fault_cases (struct
+  module Rpc = Ledgerdb.Cluster
+
+  let run =
+    run_baseline Rpc.create
+      ~node:(fun i -> Ledgerdb.Node.create Ledgerdb.default_config ~shard_id:i)
+      ~crash:Ledgerdb.Node.crash ~recover:Ledgerdb.Node.recover
+
+  let write_locked = Ledgerdb.Node.write_locked
+end)
 
 let test_storage_accounting () =
   with_cluster (fun cl ->
@@ -1133,11 +1197,10 @@ let () =
          Alcotest.test_case "no-BA replay keeps promised blocks" `Quick
            test_no_ba_replay_keeps_promises;
          Alcotest.test_case "seeded promise property" `Quick
-           test_seeded_promise_property;
-         Alcotest.test_case "mid-2PC crash releases locks" `Quick
-           test_mid_2pc_crash_releases_prepare_locks;
-         Alcotest.test_case "partition heals, retries succeed" `Quick
-           test_partition_heals_and_retries_succeed ]);
+           test_seeded_promise_property ]
+       @ Glassdb_faults.cases ""
+       @ Qldb_faults.cases " (QLDB*)"
+       @ Ledgerdb_faults.cases " (LedgerDB*)");
       ("accounting",
        [ Alcotest.test_case "storage and commits" `Quick test_storage_accounting;
          Alcotest.test_case "persist_all drains live shards" `Quick

@@ -188,11 +188,12 @@ let test_ledger_verified_scan () =
 (* --- auditor forensics --- *)
 
 let with_cluster ?(shards = 2) ?(batching = true) ?(sync_persist = false)
-    ?faults f =
+    ?rpc_timeout ?rpc_retries ?verify_delay ?faults f =
   in_sim (fun () ->
       let cl =
         Cluster.create
-          (Glassdb.Config.make ~shards ~batching ~sync_persist ?faults ())
+          (Glassdb.Config.make ~shards ~batching ~sync_persist ?rpc_timeout
+             ?rpc_retries ?verify_delay ?faults ())
       in
       Cluster.start cl;
       let v = f cl in
@@ -263,11 +264,8 @@ let test_gossip_fork_detected_under_packet_loss () =
   (* A user restoring a forked digest must see [Proof_invalid] from gossip
      even when the lossy link forces proof fetches to retry. *)
   let faults = Faults.create ~drop:0.05 ~seed:9 () in
-  with_cluster ~shards:1 ~faults (fun cl ->
-      let mk id sk =
-        Client.create ~rpc_timeout:0.05 ~rpc_retries:6 ~retry_backoff:0.01 cl
-          ~id ~sk
-      in
+  with_cluster ~shards:1 ~rpc_timeout:0.05 ~rpc_retries:6 ~faults (fun cl ->
+      let mk id sk = Client.create cl ~id ~sk in
       let a = mk 1 "k1" and b = mk 2 "k2" in
       for i = 0 to 9 do
         ignore
@@ -313,11 +311,8 @@ let test_checkpoint_truncates_wal () =
 (* --- promises under every persistence mode --- *)
 
 let promise_roundtrip ?batching ?sync_persist () =
-  with_cluster ?batching ?sync_persist (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.05
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ?batching ?sync_persist ~verify_delay:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       (* Write the same keys repeatedly so multi-version prediction is
          exercised. *)
       for i = 0 to 29 do
@@ -340,11 +335,8 @@ let test_no_ba_predictions_with_readonly_participants () =
   (* Regression: a cross-shard transaction whose slice on some shard is
      read-only must not consume a block position there (it never produces
      a block), or every later promise on that shard lands one block late. *)
-  with_cluster ~shards:2 ~batching:false (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:1.0 ~verify_delay:0.02
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~batching:false ~verify_delay:0.02 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       (* Find keys on both shards. *)
       let key_on shard =
         let rec go i =
@@ -457,11 +449,8 @@ let prop_recovery_preserves_committed_writes =
     ~count:10
     QCheck.(int_range 1 30)
     (fun n ->
-      with_cluster ~shards:1 (fun cl ->
-          let c =
-            Client.create ~rpc_timeout:0.05 ~verify_delay:0.1
-              cl ~id:1 ~sk:"k"
-          in
+      with_cluster ~shards:1 ~rpc_timeout:0.05 (fun cl ->
+          let c = Client.create cl ~id:1 ~sk:"k" in
           let expected = Hashtbl.create 16 in
           for i = 0 to n - 1 do
             let k = Printf.sprintf "r%d" (i mod 7) in
@@ -487,11 +476,8 @@ let prop_recovery_preserves_committed_writes =
 (* --- dist-layer timeout handling --- *)
 
 let test_dead_shard_read_times_out_not_hangs () =
-  with_cluster ~shards:2 (fun cl ->
-      let c =
-        Client.create ~rpc_timeout:0.05 ~verify_delay:0.1
-          cl ~id:1 ~sk:"k"
-      in
+  with_cluster ~shards:2 ~rpc_timeout:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
       ignore (Client.execute c (fun h -> Client.put h "a" "1"));
       Cluster.crash_node cl (Cluster.shard_of_key cl "a");
       let t0 = Sim.now () in
