@@ -37,7 +37,11 @@ let () =
       Sim.sleep 0.3;
 
       (* Full version history via the prev-block pointers in the ledger. *)
-      let history = Client.get_history doctor record ~n:10 in
+      let history =
+        match Client.get_history doctor record ~n:10 with
+        | Ok history -> history
+        | Error e -> failwith (Glassdb_util.Error.to_string e)
+      in
       print_endline "version history (newest first):";
       List.iter
         (fun (v, block) -> Printf.printf "  block %d: %s\n" block v)

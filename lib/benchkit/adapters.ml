@@ -73,7 +73,8 @@ let make_glassdb name p =
             | Error e -> Error e
           end);
       c_flush = (fun ~force -> List.map to_v (Glassdb.Client.flush_verifications c ~force ()));
-      c_history = (fun k ~n -> List.length (Glassdb.Client.get_history c k ~n));
+      c_history =
+        (fun k ~n -> Result.map List.length (Glassdb.Client.get_history c k ~n));
       c_failures = (fun () -> Glassdb.Client.verification_failures c) }
   in
   { a_name = name;
@@ -200,7 +201,7 @@ let make_qldb p =
       c_verified_get_latest = verified_get;
       c_verified_get_historical = verified_get;
       c_flush = (fun ~force:_ -> []);
-      c_history = (fun _ ~n:_ -> 0);
+      c_history = (fun _ ~n:_ -> Ok 0);
       c_failures = (fun () -> !failures) }
   in
   { a_name = "QLDB*";
@@ -331,7 +332,7 @@ let make_ledgerdb p =
                 pending := (now, k) :: !pending;
                 None)
             due);
-      c_history = (fun _ ~n:_ -> 0);
+      c_history = (fun _ ~n:_ -> Ok 0);
       c_failures = (fun () -> !failures) }
   in
   { a_name = "LedgerDB*";
@@ -449,7 +450,7 @@ let make_trillian p =
       c_verified_get_latest = verified_get;
       c_verified_get_historical = verified_get;
       c_flush = (fun ~force:_ -> []);
-      c_history = (fun _ ~n:_ -> 0);
+      c_history = (fun _ ~n:_ -> Ok 0);
       c_failures = (fun () -> !failures) }
   in
   { a_name = "Trillian";

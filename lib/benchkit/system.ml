@@ -41,7 +41,7 @@ type client = {
   c_verified_get_latest : Kv.key -> (verification, Error.t) result;
   c_verified_get_historical : Kv.key -> (verification, Error.t) result;
   c_flush : force:bool -> verification list;
-  c_history : Kv.key -> n:int -> int;
+  c_history : Kv.key -> n:int -> (int, Error.t) result;
   c_failures : unit -> int;
 }
 

@@ -44,7 +44,8 @@ type client = {
   c_verified_get_latest : Kv.key -> (verification, Error.t) result;
   c_verified_get_historical : Kv.key -> (verification, Error.t) result;
   c_flush : force:bool -> verification list;
-  c_history : Kv.key -> n:int -> int; (** versions actually fetched *)
+  c_history : Kv.key -> n:int -> (int, Error.t) result;
+      (** versions actually fetched; [Ok 0] where history is unsupported *)
   c_failures : unit -> int;           (** failed proof checks *)
 }
 

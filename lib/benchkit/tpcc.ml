@@ -240,13 +240,14 @@ let stock_level client rng cfg =
 let warehouse_balance client rng cfg =
   (* VerifiedWarehouseBalance: the last 10 versions of w_ytd. *)
   let w = Rng.int_below rng cfg.warehouses in
-  let versions = client.System.c_history (k_w_ytd w) ~n:10 in
-  if versions >= 1 then Ok ()
-  else
+  match client.System.c_history (k_w_ytd w) ~n:10 with
+  | Error e -> Error e
+  | Ok versions when versions >= 1 -> Ok ()
+  | Ok _ ->
     (* Systems without history walks fall back to a verified read. *)
-    match client.System.c_verified_get_latest (k_w_ytd w) with
-    | Ok _ -> Ok ()
-    | Error e -> Error e
+    (match client.System.c_verified_get_latest (k_w_ytd w) with
+     | Ok _ -> Ok ()
+     | Error e -> Error e)
 
 let run_txn client rng cfg kind =
   match kind with

@@ -2,6 +2,7 @@ module Kv = Txnkit.Kv
 module Error = Glassdb_util.Error
 module Codec = Glassdb_util.Codec
 module Rpc = Cluster.Rpc.Client
+module Chunk_cache = Postree.Pos_tree.Chunk_cache
 
 type pending = { due : float; promise : Node.promise }
 
@@ -10,15 +11,31 @@ type t = {
   sk : string;
   cluster : Cluster.t;
   digests : Ledger.digest array;
+  chunks : Chunk_cache.t; (* proof chunks this client has verified *)
   mutable pending : pending list;
   mutable failures : int;
 }
+
+(* Every client's cache lookups add to the same four counters. *)
+let chunk_cache () =
+  let counter name = Obs.Metrics.counter ~name:("glassdb.client." ^ name) () in
+  let count n b =
+    let n = counter n and b = counter b in
+    fun ~bytes ->
+      Obs.Metrics.inc n;
+      Obs.Metrics.inc ~by:(float_of_int bytes) b
+  in
+  Chunk_cache.create
+    ~on_hit:(count "proof_chunk_hits" "proof_chunk_hit_bytes")
+    ~on_miss:(count "proof_chunk_misses" "proof_chunk_miss_bytes")
+    ()
 
 let create cluster ~id ~sk =
   { rpc = Rpc.create (Cluster.rpc cluster) ~id ~sk;
     sk;
     cluster;
     digests = Array.make (Cluster.shards cluster) Ledger.genesis;
+    chunks = chunk_cache ();
     pending = [];
     failures = 0 }
 
@@ -39,7 +56,8 @@ let verify_delay t = (Cluster.config_of t.cluster).Config.verify_delay
    against the live cache would misread the server's honest proof-of-an-
    older-base as a violation.  The cache itself only ever moves forward. *)
 let advance_digest t shard ~from ~proof new_digest =
-  if Ledger.verify_append_only ~old_digest:from ~new_digest proof then begin
+  if Ledger.verify_append_only ~cache:t.chunks ~old_digest:from ~new_digest proof
+  then begin
     if new_digest.Ledger.block_no > t.digests.(shard).Ledger.block_no then
       t.digests.(shard) <- new_digest;
     true
@@ -84,7 +102,8 @@ let gossip a b =
       | Error e -> note_err e
       | Ok proof ->
         if
-          Ledger.verify_append_only ~old_digest:behind ~new_digest:ahead proof
+          Ledger.verify_append_only ~cache:a.chunks ~old_digest:behind
+            ~new_digest:ahead proof
         then behind_client.digests.(s) <- ahead
         else begin
           a.failures <- a.failures + 1;
@@ -165,8 +184,8 @@ let verified_read t key ~name ~req_bytes ~none ~current read =
             if current then Ledger.verify_current else Ledger.verify_inclusion
           in
           let value_ok =
-            verify ~digest:vr.Node.vr_digest ~key ~value:vr.Node.vr_value
-              vr.Node.vr_proof
+            verify ~cache:t.chunks ~digest:vr.Node.vr_digest ~key
+              ~value:vr.Node.vr_value vr.Node.vr_proof
           in
           append_ok && value_ok)
     in
@@ -192,13 +211,9 @@ let verified_get_at t key ~block =
 
 let get_history t key ~n =
   let shard = Cluster.shard_of_key t.cluster key in
-  match
-    Cluster.call t.cluster ~shard ~req_bytes:(String.length key + 24)
-      ~resp_bytes:(fun l -> 16 + List.fold_left (fun a (v, _) -> a + String.length v + 8) 0 l)
-      (fun nd -> Node.get_history nd key ~n)
-  with
-  | Error _ -> []
-  | Ok l -> l
+  Cluster.call t.cluster ~shard ~req_bytes:(String.length key + 24)
+    ~resp_bytes:(fun l -> 16 + List.fold_left (fun a (v, _) -> a + String.length v + 8) 0 l)
+    (fun nd -> Node.get_history nd key ~n)
 
 let flush_verifications t ?(force = false) () =
   let now = Sim.now () in
@@ -270,7 +285,8 @@ let flush_verifications t ?(force = false) () =
                     List.for_all
                       (fun bp ->
                         Hashtbl.replace by_block bp.Ledger.bp_block bp;
-                        Ledger.verify_inclusion_batch ~digest:new_digest bp)
+                        Ledger.verify_inclusion_batch ~cache:t.chunks
+                          ~digest:new_digest bp)
                       proofs
                   in
                   append_ok && proofs_ok

@@ -6,6 +6,9 @@
     shard's latest digest, holds the server's deferred-verification
     promises, and checks every proof it receives — updating the digest only
     when the append-only proof from the previously cached digest verifies.
+    It also keeps a bounded cache of the proof chunks it has already
+    verified ({!Postree.Pos_tree.Chunk_cache}), so a chunk that arrives again
+    byte for byte is not hashed again.
 
     Transactions, retries and 2PC cleanup are the shared layer's
     ({!Vlayer.Dist}); timeouts, retries and the verification delay come
@@ -67,9 +70,11 @@ val verified_get_at :
   (Kv.value option * verification, Glassdb_util.Error.t) result
 (** Historical read with inclusion + append-only proof. *)
 
-val get_history : t -> Kv.key -> n:int -> (Kv.value * int) list
+val get_history :
+  t -> Kv.key -> n:int -> ((Kv.value * int) list, Glassdb_util.Error.t) result
 (** Unverified history walk (used by VerifiedWarehouseBalance together with
-    per-version proofs). *)
+    per-version proofs): up to [n] (value, block) pairs, newest first.
+    [Ok []] is a key with no history; an unreachable shard is an [Error]. *)
 
 val pending_verifications : t -> int
 

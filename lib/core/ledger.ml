@@ -286,13 +286,13 @@ let anchor t ~block ~caller =
 (* The check every block-anchored proof starts with: the header decodes,
    names [block], is no newer than the digest, and sits at [block] in the
    digest's upper tree.  Returns the decoded header. *)
-let check_anchor ~digest ~block header upper =
+let check_anchor ?cache ~digest ~block header upper =
   match Codec.of_string decode_header header with
   | exception _ -> None
   | h ->
     if Int.equal h.block_no block
        && block <= digest.block_no
-       && Pos_tree.verify ~root:digest.root ~key:(block_key block)
+       && Pos_tree.verify ?cache ~root:digest.root ~key:(block_key block)
             ~value:(Some header) upper
     then Some h
     else None
@@ -317,21 +317,21 @@ let prove_current t key =
   if t.latest < 0 then invalid_arg "Ledger.prove_current: empty ledger"
   else prove_inclusion t key ~block:t.latest
 
-let verify_inclusion ~digest ~key ~value p =
-  match check_anchor ~digest ~block:p.p_block p.p_header p.p_upper with
+let verify_inclusion ?cache ~digest ~key ~value p =
+  match check_anchor ?cache ~digest ~block:p.p_block p.p_header p.p_upper with
   | None -> false
   | Some header ->
-    Pos_tree.verify ~root:header.state_root ~key ~value:p.p_payload p.p_lower
+    Pos_tree.verify ?cache ~root:header.state_root ~key ~value:p.p_payload p.p_lower
     &&
     (match (p.p_payload, value) with
      | None, None -> true
      | None, Some _ | Some _, None -> false
      | Some payload, Some v -> payload_ok ~block:p.p_block ~value:v payload)
 
-let verify_current ~digest ~key ~value p =
+let verify_current ?cache ~digest ~key ~value p =
   Int.equal p.p_block digest.block_no
   && Hash.equal (Hash.of_string p.p_header) digest.head
-  && verify_inclusion ~digest ~key ~value p
+  && verify_inclusion ?cache ~digest ~key ~value p
 
 (* --- batched inclusion proofs --- *)
 
@@ -387,11 +387,11 @@ let prove_inclusion_batches t groups =
 (* Header and upper-tree inclusion are checked once for the whole batch;
    the lower proof then certifies every (key, payload) pair against the
    block's state root in one walk. *)
-let verify_inclusion_batch ~digest p =
-  match check_anchor ~digest ~block:p.bp_block p.bp_header p.bp_upper with
+let verify_inclusion_batch ?cache ~digest p =
+  match check_anchor ?cache ~digest ~block:p.bp_block p.bp_header p.bp_upper with
   | None -> false
   | Some header ->
-    Pos_tree.verify_batch ~root:header.state_root ~items:p.bp_items p.bp_lower
+    Pos_tree.verify_batch ?cache ~root:header.state_root ~items:p.bp_items p.bp_lower
     && List.for_all
          (fun (_, payload) ->
            Option.fold ~none:true ~some:(payload_ok ~block:p.bp_block) payload)
@@ -454,12 +454,12 @@ let scan ?block t ~lo ~hi =
   end
   else scan_at t block ~lo ~hi
 
-let verify_scan ~digest ~lo ~hi ~rows p =
-  match check_anchor ~digest ~block:p.sp_block p.sp_header p.sp_upper with
+let verify_scan ?cache ~digest ~lo ~hi ~rows p =
+  match check_anchor ?cache ~digest ~block:p.sp_block p.sp_header p.sp_upper with
   | None -> false
   | Some header ->
     (match
-       Pos_tree.extract_range ~root:header.state_root ~lo ~hi p.sp_range
+       Pos_tree.extract_range ?cache ~root:header.state_root ~lo ~hi p.sp_range
      with
      | None -> false
      | Some certified ->
@@ -502,7 +502,7 @@ let prove_append_only t ~old_block =
         { a_header = header_bytes header;
           a_upper = Pos_tree.prove t.upper (block_key old_block) }
 
-let verify_append_only ~old_digest ~new_digest proof =
+let verify_append_only ?cache ~old_digest ~new_digest proof =
   if old_digest.block_no > new_digest.block_no then false
   else if old_digest.block_no < 0 then
     (* Anything extends the empty ledger. *)
@@ -517,7 +517,7 @@ let verify_append_only ~old_digest ~new_digest proof =
          header hash-chains to its predecessor, this pins the entire prefix
          the old digest committed to. *)
       Hash.equal (Hash.of_string a_header) old_digest.head
-      && Pos_tree.verify ~root:new_digest.root
+      && Pos_tree.verify ?cache ~root:new_digest.root
            ~key:(block_key old_digest.block_no) ~value:(Some a_header) a_upper
 
 (* --- work attribution ---
@@ -548,18 +548,22 @@ let prove_scan t ~lo ~hi ?block () =
 let prove_append_only t ~old_block =
   Work.with_component "proof" (fun () -> prove_append_only t ~old_block)
 
-let verify_inclusion ~digest ~key ~value p =
-  Work.with_component "verify" (fun () -> verify_inclusion ~digest ~key ~value p)
-
-let verify_current ~digest ~key ~value p =
-  Work.with_component "verify" (fun () -> verify_current ~digest ~key ~value p)
-
-let verify_inclusion_batch ~digest p =
-  Work.with_component "verify" (fun () -> verify_inclusion_batch ~digest p)
-
-let verify_scan ~digest ~lo ~hi ~rows p =
-  Work.with_component "verify" (fun () -> verify_scan ~digest ~lo ~hi ~rows p)
-
-let verify_append_only ~old_digest ~new_digest proof =
+let verify_inclusion ?cache ~digest ~key ~value p =
   Work.with_component "verify" (fun () ->
-      verify_append_only ~old_digest ~new_digest proof)
+      verify_inclusion ?cache ~digest ~key ~value p)
+
+let verify_current ?cache ~digest ~key ~value p =
+  Work.with_component "verify" (fun () ->
+      verify_current ?cache ~digest ~key ~value p)
+
+let verify_inclusion_batch ?cache ~digest p =
+  Work.with_component "verify" (fun () ->
+      verify_inclusion_batch ?cache ~digest p)
+
+let verify_scan ?cache ~digest ~lo ~hi ~rows p =
+  Work.with_component "verify" (fun () ->
+      verify_scan ?cache ~digest ~lo ~hi ~rows p)
+
+let verify_append_only ?cache ~old_digest ~new_digest proof =
+  Work.with_component "verify" (fun () ->
+      verify_append_only ?cache ~old_digest ~new_digest proof)

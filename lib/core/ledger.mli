@@ -101,7 +101,9 @@ val resident_snapshots : t -> int
    digest's upper tree; the lower-tree part (one key, a key batch or a
    range, all {!Postree.Pos_tree} proofs) is then checked against the
    header's state root, and every certified payload must be no newer
-   than the block. *)
+   than the block.  Every verifier takes an optional
+   {!Postree.Pos_tree.Chunk_cache.t}, which it passes to each tree proof
+   it checks; the verdict does not depend on it. *)
 
 type proof = {
   p_block : int;
@@ -119,11 +121,13 @@ val prove_inclusion : t -> Kv.key -> block:int -> proof
 val prove_current : t -> Kv.key -> proof
 
 val verify_inclusion :
+  ?cache:Postree.Pos_tree.Chunk_cache.t ->
   digest:digest -> key:Kv.key -> value:Kv.value option -> proof -> bool
 (** Checks the proof binds [key] to [value] in block [p_block] of the
     ledger identified by [digest]. *)
 
 val verify_current :
+  ?cache:Postree.Pos_tree.Chunk_cache.t ->
   digest:digest -> key:Kv.key -> value:Kv.value option -> proof -> bool
 (** Additionally requires the proof to come from the digest's own latest
     block — the freshness condition. *)
@@ -154,7 +158,8 @@ val prove_inclusion_batches : t -> (int * Kv.key list) list -> batch_proof list
     {!prove_inclusion_batch} over the groups.  Raises [Invalid_argument]
     when any block does not exist. *)
 
-val verify_inclusion_batch : digest:digest -> batch_proof -> bool
+val verify_inclusion_batch :
+  ?cache:Postree.Pos_tree.Chunk_cache.t -> digest:digest -> batch_proof -> bool
 (** Checks header and upper-tree inclusion once, then the lower proof for
     every item, including payload version sanity. *)
 
@@ -171,6 +176,7 @@ val prove_append_only : t -> old_block:int -> append_proof
 (** Proof that the ledger at [old_block] is a prefix of the current one. *)
 
 val verify_append_only :
+  ?cache:Postree.Pos_tree.Chunk_cache.t ->
   old_digest:digest -> new_digest:digest -> append_proof -> bool
 
 (* --- verifiable range scans --- *)
@@ -187,6 +193,7 @@ val prove_scan : t -> lo:Kv.key -> hi:Kv.key -> ?block:int -> unit -> scan_proof
 val scan : ?block:int -> t -> lo:Kv.key -> hi:Kv.key -> (Kv.key * Kv.value) list
 
 val verify_scan :
+  ?cache:Postree.Pos_tree.Chunk_cache.t ->
   digest:digest -> lo:Kv.key -> hi:Kv.key ->
   rows:(Kv.key * Kv.value) list -> scan_proof -> bool
 

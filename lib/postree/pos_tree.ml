@@ -623,23 +623,78 @@ let prove t key = fst (prove_batch t [ key ])
 
 let prove_range t ~lo ~hi = fst (prove_walk range_query t (lo, hi))
 
+(* --- verified-chunk cache ---
+
+   A verifier's memory of chunks it has already checked: chunk hash to the
+   exact bytes that hashed to it.  Bytes, not parsed items, because parsed
+   chunks cost an order of magnitude more heap.  Insertion-ordered (FIFO)
+   eviction keeps at most [capacity] entries. *)
+
+module Chunk_cache = struct
+  let capacity = 128
+
+  type t = {
+    table : (Hash.t, string) Hashtbl.t;
+    order : Hash.t Queue.t; (* insertion order, oldest first *)
+    on_hit : bytes:int -> unit;
+    on_miss : bytes:int -> unit;
+  }
+
+  let create ?(on_hit = fun ~bytes:_ -> ()) ?(on_miss = fun ~bytes:_ -> ()) ()
+      =
+    { table = Hashtbl.create capacity; order = Queue.create (); on_hit; on_miss }
+
+  let length c = Hashtbl.length c.table
+
+  (* [s] is known to hash to [h] only when it is byte-for-byte the string
+     that did. *)
+  let known c h s =
+    match Hashtbl.find_opt c.table h with
+    | Some cached when String.equal cached s ->
+      c.on_hit ~bytes:(String.length s);
+      true
+    | _ ->
+      c.on_miss ~bytes:(String.length s);
+      false
+
+  let add c h s =
+    if not (Hashtbl.mem c.table h) then begin
+      if Hashtbl.length c.table >= capacity then
+        Hashtbl.remove c.table (Queue.pop c.order);
+      Hashtbl.replace c.table h s;
+      Queue.push h c.order
+    end
+end
+
 exception Reject
 
 (* The same walk replayed over a proof: each visit consumes the next chunk,
    which must parse, be non-empty and hash to the pointer that led to it.
-   [None] unless the walk consumes the whole proof. *)
-let replay query ~root q proof =
+   A chunk whose exact bytes [cache] already saw hash to that pointer is
+   parsed but not re-hashed: equal bytes parse to equal items, and those
+   hash to the pointer.  A chunk enters [cache] only after its hash check
+   passes.  [None] unless the walk consumes the whole proof. *)
+let replay ?cache query ~root q proof =
   let rest = ref proof in
   let visit expected =
     match !rest with
     | [] -> raise Reject
     | s :: tl ->
       rest := tl;
+      let known =
+        match cache with
+        | Some c -> Chunk_cache.known c expected s
+        | None -> false
+      in
       (match parse_chunk s with
        | exception Codec.Malformed _ -> raise Reject
        | _, [||] -> raise Reject
        | leaf, items ->
-         if Hash.equal (chunk_hash ~leaf items) expected then (leaf, items)
+         if known then (leaf, items)
+         else if Hash.equal (chunk_hash ~leaf items) expected then begin
+           Option.iter (fun c -> Chunk_cache.add c expected s) cache;
+           (leaf, items)
+         end
          else raise Reject)
   in
   let child _ items i = Chunker.item_payload items.(i) in
@@ -648,9 +703,9 @@ let replay query ~root q proof =
   | answer -> if !rest = [] then Some answer else None
   | exception Reject -> None
 
-let verify_batch ~root ~items proof =
+let verify_batch ?cache ~root ~items proof =
   match
-    replay keys_query ~root
+    replay ?cache keys_query ~root
       (List.sort_uniq String.compare (List.map fst items))
       proof
   with
@@ -662,13 +717,14 @@ let verify_batch ~root ~items proof =
       (fun (k, v) -> Option.equal String.equal (Hashtbl.find tbl k) v)
       items
 
-let verify ~root ~key ~value proof =
-  verify_batch ~root ~items:[ (key, value) ] proof
+let verify ?cache ~root ~key ~value proof =
+  verify_batch ?cache ~root ~items:[ (key, value) ] proof
 
-let extract_range ~root ~lo ~hi proof = replay range_query ~root (lo, hi) proof
+let extract_range ?cache ~root ~lo ~hi proof =
+  replay ?cache range_query ~root (lo, hi) proof
 
-let verify_range ~root ~lo ~hi ~bindings proof =
-  match extract_range ~root ~lo ~hi proof with
+let verify_range ?cache ~root ~lo ~hi ~bindings proof =
+  match extract_range ?cache ~root ~lo ~hi proof with
   | Some certified ->
     List.equal
       (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
@@ -705,15 +761,18 @@ let prove_batch t keys =
 let prove_range t ~lo ~hi =
   Work.with_component "proof" (fun () -> prove_range t ~lo ~hi)
 
-let verify ~root ~key ~value proof =
-  Work.with_component "verify" (fun () -> verify ~root ~key ~value proof)
-
-let verify_batch ~root ~items proof =
-  Work.with_component "verify" (fun () -> verify_batch ~root ~items proof)
-
-let extract_range ~root ~lo ~hi proof =
-  Work.with_component "verify" (fun () -> extract_range ~root ~lo ~hi proof)
-
-let verify_range ~root ~lo ~hi ~bindings proof =
+let verify ?cache ~root ~key ~value proof =
   Work.with_component "verify" (fun () ->
-      verify_range ~root ~lo ~hi ~bindings proof)
+      verify ?cache ~root ~key ~value proof)
+
+let verify_batch ?cache ~root ~items proof =
+  Work.with_component "verify" (fun () ->
+      verify_batch ?cache ~root ~items proof)
+
+let extract_range ?cache ~root ~lo ~hi proof =
+  Work.with_component "verify" (fun () ->
+      extract_range ?cache ~root ~lo ~hi proof)
+
+let verify_range ?cache ~root ~lo ~hi ~bindings proof =
+  Work.with_component "verify" (fun () ->
+      verify_range ?cache ~root ~lo ~hi ~bindings proof)

@@ -90,16 +90,40 @@ val prove_range : t -> lo:string -> hi:string -> proof
 (** The walk over every chunk whose span intersects [lo, hi); empty when
     [lo >= hi] or the tree is empty. *)
 
+(** A verifier's bounded cache of chunks it has already checked: chunk
+    hash to the exact bytes that hashed to it.  Every verifier below takes
+    one as [?cache]; the verdict is the same with or without it.  A proof
+    chunk that is byte-for-byte a cached one for the pointer that led to it
+    is parsed but not hashed; any other chunk gets the full check and, once
+    it hashes to its pointer, enters the cache. *)
+module Chunk_cache : sig
+  type t
+
+  val capacity : int
+  (** Most entries a cache holds; the oldest entry is evicted first. *)
+
+  val create :
+    ?on_hit:(bytes:int -> unit) -> ?on_miss:(bytes:int -> unit) -> unit -> t
+  (** [on_hit] / [on_miss] see every chunk a verifier looks up, with its
+      size in bytes. *)
+
+  val length : t -> int
+end
+
 val verify_batch :
+  ?cache:Chunk_cache.t ->
   root:Hash.t -> items:(string * string option) list -> proof -> bool
 (** Replay the key-set walk against a trusted root and check every (key,
     value-or-absence) claim: [Some v] asserts the binding, [None] absence.
-    Each chunk is hashed once. *)
+    Each chunk not in [cache] is hashed once. *)
 
-val verify : root:Hash.t -> key:string -> value:string option -> proof -> bool
+val verify :
+  ?cache:Chunk_cache.t ->
+  root:Hash.t -> key:string -> value:string option -> proof -> bool
 (** [verify_batch] with one item. *)
 
 val extract_range :
+  ?cache:Chunk_cache.t ->
   root:Hash.t -> lo:string -> hi:string -> proof ->
   (string * string) list option
 (** Replay the range walk: the bindings a valid proof certifies for
@@ -109,6 +133,7 @@ val extract_range :
     inject entries. *)
 
 val verify_range :
+  ?cache:Chunk_cache.t ->
   root:Hash.t -> lo:string -> hi:string ->
   bindings:(string * string) list -> proof -> bool
 (** Checks that [bindings] is exactly the tree's content on [lo, hi). *)

@@ -33,11 +33,23 @@ let decode_writes r =
       let v = Codec.read_string r in
       (k, v))
 
+(* A read of an absent key records version -1.  It is written as the
+   two-byte varint of 0, a non-canonical form that [Codec.write_varint]
+   never emits, so every version >= 0 keeps its canonical bytes. *)
+let absent_version = "\x80\x00"
+
+let write_version b v =
+  if Int.equal v (-1) then Buffer.add_string b absent_version
+  else Codec.write_varint b v
+
+let read_version r =
+  if Codec.skip_prefix r absent_version then -1 else Codec.read_varint r
+
 let encode_rw_set buf rw =
   Codec.write_list buf
     (fun b (k, v) ->
       Codec.write_string b k;
-      Codec.write_varint b v)
+      write_version b v)
     rw.reads;
   encode_writes buf rw.writes
 
@@ -45,7 +57,7 @@ let decode_rw_set r =
   let reads =
     Codec.read_list r (fun r ->
         let k = Codec.read_string r in
-        let v = Codec.read_varint r in
+        let v = read_version r in
         (k, v))
   in
   let writes = decode_writes r in

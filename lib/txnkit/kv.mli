@@ -17,7 +17,8 @@ val txn_id : client:int -> seq:int -> txn_id
 (** Deterministic transaction id from client id and per-client sequence. *)
 
 type rw_set = {
-  reads : (key * version) list;  (** keys read, with the version observed *)
+  reads : (key * version) list;
+      (** keys read, with the version observed; [-1] for an absent key *)
   writes : (key * value) list;
 }
 
@@ -25,6 +26,8 @@ val shard_of_key : shards:int -> key -> int
 (** Hash partitioning (Section 3.3.2): stable mapping of keys to shards. *)
 
 val encode_rw_set : Buffer.t -> rw_set -> unit
+(** Raises [Invalid_argument] on a read version below [-1]. *)
+
 val decode_rw_set : Codec.reader -> rw_set
 
 val encode_entry : txn_id -> (key * value) list -> string

@@ -41,6 +41,14 @@ let read_string r =
   r.pos <- r.pos + n;
   s
 
+let skip_prefix r s =
+  let n = String.length s in
+  let rec equal i = i >= n || (Char.equal r.src.[r.pos + i] s.[i] && equal (i + 1)) in
+  if r.pos + n <= String.length r.src && equal 0 then begin
+    r.pos <- r.pos + n;
+    true
+  end
+  else false
 
 let read_byte r =
   need r 1;

@@ -24,6 +24,10 @@ val write_string : Buffer.t -> string -> unit
 
 val read_string : reader -> string
 
+val skip_prefix : reader -> string -> bool
+(** Consume [s] if the input continues with it; [false] (and nothing
+    consumed) otherwise. *)
+
 val read_byte : reader -> int
 
 val write_bool : Buffer.t -> bool -> unit

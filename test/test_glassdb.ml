@@ -937,14 +937,84 @@ module Fault_cases (Sys : ON_SHARED_LAYER) = struct
         partition_heals_and_retries_succeed ]
 end
 
-module Glassdb_faults = Fault_cases (struct
+(* --- reads of keys that were never written, on every system --- *)
+
+module Absent_key_cases (Sys : ON_SHARED_LAYER) = struct
+  module C = Sys.Rpc.Client
+
+  let insert_if_absent h key value =
+    match C.get h key with
+    | Some _ -> false
+    | None ->
+      C.put h key value;
+      true
+
+  let absent_read_commits () =
+    Sys.run (Glassdb.Config.make ~shards:1 ()) (fun cl ~crash:_ ->
+        let c = C.create cl ~id:1 ~sk:"k" in
+        (match C.execute c (fun h -> C.get h "never-written") with
+         | Ok (None, _) -> ()
+         | Ok (Some v, _) -> Alcotest.failf "absent key read as %S" v
+         | Error e -> Alcotest.failf "absent read: %s" (Error.to_string e));
+        match C.execute c (fun h -> insert_if_absent h "fresh" "v") with
+        | Ok (true, _) -> ()
+        | Ok (false, _) -> Alcotest.fail "fresh key read as present"
+        | Error e -> Alcotest.failf "insert-if-absent: %s" (Error.to_string e))
+
+  (* Both transactions read the key as absent before either commits; OCC
+     must then let exactly one insert through. *)
+  let concurrent_insert_if_absent_one_wins () =
+    Sys.run (Glassdb.Config.make ~shards:1 ()) (fun cl ~crash:_ ->
+        let both_read = Sim.Ivar.create () and readers = ref 0 in
+        let attempt id =
+          let out = Sim.Ivar.create () in
+          Sim.spawn (fun () ->
+              let c = C.create cl ~id ~sk:"k" in
+              Sim.Ivar.fill out
+                (C.execute c (fun h ->
+                     let inserted =
+                       insert_if_absent h "race" (Printf.sprintf "v%d" id)
+                     in
+                     incr readers;
+                     if Int.equal !readers 2 then Sim.Ivar.fill both_read ();
+                     Sim.Ivar.read both_read;
+                     inserted)));
+          out
+        in
+        let outs = List.map attempt [ 1; 2 ] in
+        let results = List.map Sim.Ivar.read outs in
+        let winners =
+          List.filter_map
+            (function
+              | Ok (true, _), id -> Some (Printf.sprintf "v%d" id)
+              | Ok (false, _), _ -> Alcotest.fail "key read as present"
+              | Error _, _ -> None)
+            (List.combine results [ 1; 2 ])
+        in
+        (match winners with
+         | [ _ ] -> ()
+         | w -> Alcotest.failf "%d inserts committed" (List.length w));
+        let c = C.create cl ~id:3 ~sk:"k" in
+        match C.execute c (fun h -> C.get h "race") with
+        | Ok (v, _) ->
+          Alcotest.(check (option string)) "the winner's value" (Some (List.hd winners)) v
+        | Error e -> Alcotest.failf "read back: %s" (Error.to_string e))
+
+  let cases suffix =
+    [ Alcotest.test_case ("absent-key read commits" ^ suffix) `Quick
+        absent_read_commits;
+      Alcotest.test_case ("concurrent insert-if-absent: one wins" ^ suffix)
+        `Quick concurrent_insert_if_absent_one_wins ]
+end
+
+module Glassdb_layer = struct
   module Rpc = Cluster.Rpc
 
   let run cfg f =
     run_cluster cfg (fun cl -> f (Cluster.rpc cl) ~crash:(Cluster.crash_node cl))
 
   let write_locked = Node.write_locked
-end)
+end
 
 (* The baselines' nodes on the same layer; the schedule's crash and
    restart actions go straight to the nodes. *)
@@ -956,7 +1026,7 @@ let run_baseline create ~node ~crash ~recover cfg f =
       Faults.run cfg.faults ~crash ~restart:(fun i -> recover nodes.(i));
       f cl ~crash)
 
-module Qldb_faults = Fault_cases (struct
+module Qldb_layer = struct
   module Rpc = Qldb.Cluster
 
   let run =
@@ -965,9 +1035,9 @@ module Qldb_faults = Fault_cases (struct
       ~crash:Qldb.Node.crash ~recover:Qldb.Node.recover
 
   let write_locked = Qldb.Node.write_locked
-end)
+end
 
-module Ledgerdb_faults = Fault_cases (struct
+module Ledgerdb_layer = struct
   module Rpc = Ledgerdb.Cluster
 
   let run =
@@ -976,7 +1046,14 @@ module Ledgerdb_faults = Fault_cases (struct
       ~crash:Ledgerdb.Node.crash ~recover:Ledgerdb.Node.recover
 
   let write_locked = Ledgerdb.Node.write_locked
-end)
+end
+
+module Glassdb_faults = Fault_cases (Glassdb_layer)
+module Qldb_faults = Fault_cases (Qldb_layer)
+module Ledgerdb_faults = Fault_cases (Ledgerdb_layer)
+module Glassdb_absent = Absent_key_cases (Glassdb_layer)
+module Qldb_absent = Absent_key_cases (Qldb_layer)
+module Ledgerdb_absent = Absent_key_cases (Ledgerdb_layer)
 
 let test_storage_accounting () =
   with_cluster (fun cl ->
@@ -1201,6 +1278,10 @@ let () =
        @ Glassdb_faults.cases ""
        @ Qldb_faults.cases " (QLDB*)"
        @ Ledgerdb_faults.cases " (LedgerDB*)");
+      ("absent keys",
+       Glassdb_absent.cases ""
+       @ Qldb_absent.cases " (QLDB*)"
+       @ Ledgerdb_absent.cases " (LedgerDB*)");
       ("accounting",
        [ Alcotest.test_case "storage and commits" `Quick test_storage_accounting;
          Alcotest.test_case "persist_all drains live shards" `Quick

@@ -608,6 +608,151 @@ let prop_range_model =
       && Pos_tree.verify_range ~root ~lo ~hi ~bindings
            (Pos_tree.prove_range t ~lo ~hi))
 
+(* --- the verified-chunk cache --- *)
+
+let flip_middle s =
+  let b = Bytes.of_string s in
+  let i = Bytes.length b / 2 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+(* Every chunk-list tampering the cases above reject: padded, duplicated,
+   reversed, truncated, emptied, garbage, and each chunk corrupted in turn. *)
+let tamperings ~foreign chunks =
+  let n = List.length chunks in
+  [ chunks;
+    chunks @ [ foreign ];
+    (match chunks with c :: _ -> c :: chunks | [] -> [ foreign ]);
+    chunks @ (match List.rev chunks with c :: _ -> [ c ] | [] -> []);
+    List.rev chunks;
+    List.filteri (fun i _ -> i < n - 1) chunks;
+    [];
+    [ "not a chunk" ] ]
+  @ List.init n (fun i ->
+        List.mapi (fun j s -> if Int.equal i j then flip_middle s else s) chunks)
+
+(* One warm cache, shared by every check across two versions of a random
+   tree, must never change a verdict: each check runs cold and warm. *)
+let prop_cache_same_verdict =
+  QCheck.Test.make ~name:"warm-cache verdict = cold verdict" ~count:30
+    QCheck.(quad
+              (list_of_size (Gen.int_range 1 150)
+                 (pair (string_of_size (Gen.int_range 1 4)) small_string))
+              (list_of_size (Gen.int_range 1 20)
+                 (pair (string_of_size (Gen.int_range 1 4)) small_string))
+              (list_of_size (Gen.int_range 0 8) (string_of_size (Gen.int_range 1 4)))
+              (pair (string_of_size (Gen.int_range 0 4))
+                 (string_of_size (Gen.int_range 0 4))))
+    (fun (kvs, upd, keys, (a, b)) ->
+      let lo = min a b and hi = max a b in
+      let _, cfg = mk ~pattern_bits:2 () in
+      let t1 = Pos_tree.insert_batch (Pos_tree.empty cfg) kvs in
+      let t2 = Pos_tree.insert_batch t1 upd in
+      let cache = Pos_tree.Chunk_cache.create () in
+      let foreign =
+        List.hd (strings_of_proof (Pos_tree.prove t2 (fst (List.hd kvs))))
+      in
+      let agree check p =
+        List.for_all
+          (fun chunks ->
+            let p = proof_of_strings chunks in
+            check None p = check (Some cache) p)
+          (tamperings ~foreign (strings_of_proof p))
+      in
+      let keys = keys @ List.map fst kvs |> List.filteri (fun i _ -> i < 12) in
+      List.for_all
+        (fun t ->
+          let root = Pos_tree.root_hash t in
+          let mp, items = Pos_tree.prove_batch t keys in
+          let lied =
+            List.map (fun (k, v) -> (k, if v = None then Some "x" else None)) items
+          in
+          let range = Pos_tree.prove_range t ~lo ~hi in
+          let bindings = Pos_tree.bindings_range t ~lo ~hi in
+          let k0 = List.hd keys in
+          agree
+            (fun cache p ->
+              Pos_tree.verify ?cache ~root ~key:k0 ~value:(Pos_tree.get t k0) p)
+            (Pos_tree.prove t k0)
+          && agree (fun cache p -> Pos_tree.verify_batch ?cache ~root ~items p) mp
+          && agree
+               (fun cache p -> Pos_tree.verify_batch ?cache ~root ~items:lied p)
+               mp
+          && agree
+               (fun cache p ->
+                 Pos_tree.verify_batch ?cache ~root:(Hash.of_string "x") ~items p)
+               mp
+          && agree
+               (fun cache p -> Pos_tree.extract_range ?cache ~root ~lo ~hi p)
+               range
+          && agree
+               (fun cache p ->
+                 Pos_tree.verify_range ?cache ~root ~lo ~hi ~bindings p)
+               range)
+        [ t1; t2; t1 ])
+
+(* A chunk the cache holds for its pointer, sent with altered bytes, still
+   gets the full check and fails it. *)
+let test_cache_altered_bytes_rejected () =
+  let _, cfg = mk () in
+  let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 800) in
+  let root = Pos_tree.root_hash t in
+  let hits = ref 0 in
+  let cache =
+    Pos_tree.Chunk_cache.create ~on_hit:(fun ~bytes:_ -> incr hits) ()
+  in
+  let verify p =
+    Pos_tree.verify ~cache ~root ~key:"key-00123" ~value:(Some "val-123") p
+  in
+  let p = Pos_tree.prove t "key-00123" in
+  let chunks = strings_of_proof p in
+  Alcotest.(check bool) "cold" true (verify p);
+  Alcotest.(check bool) "warm" true (verify p);
+  Alcotest.(check int) "every chunk hit" (List.length chunks) !hits;
+  List.iteri
+    (fun i _ ->
+      let altered =
+        List.mapi (fun j s -> if Int.equal i j then flip_middle s else s) chunks
+      in
+      if verify (proof_of_strings altered) then
+        Alcotest.failf "chunk %d altered under a cached hash accepted" i)
+    chunks;
+  Alcotest.(check bool) "honest proof still verifies" true (verify p)
+
+let test_cache_second_check_hashes_less () =
+  let _, cfg = mk () in
+  let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 2000) in
+  let root = Pos_tree.root_hash t in
+  let keys = [ "key-00007"; "key-01000"; "key-01999"; "absent" ] in
+  let mp, items = Pos_tree.prove_batch t keys in
+  let cache = Pos_tree.Chunk_cache.create () in
+  let check () =
+    Work.measure (fun () -> Pos_tree.verify_batch ~cache ~root ~items mp)
+  in
+  let ok1, first = check () in
+  let ok2, second = check () in
+  Alcotest.(check bool) "both verify" true (ok1 && ok2);
+  Alcotest.(check bool) "first check hashes" true (first.Work.hashes > 0);
+  Alcotest.(check bool) "second check hashes less" true
+    (second.Work.hashes < first.Work.hashes)
+
+let test_cache_bounded () =
+  let _, cfg = mk () in
+  let t = Pos_tree.insert_batch (Pos_tree.empty cfg) (kvs_of 5000) in
+  let root = Pos_tree.root_hash t in
+  let cache = Pos_tree.Chunk_cache.create () in
+  for i = 0 to 499 do
+    let k = Printf.sprintf "key-%05d" (i * 10) in
+    if not (Pos_tree.verify ~cache ~root ~key:k ~value:(Pos_tree.get t k)
+              (Pos_tree.prove t k))
+    then Alcotest.failf "%s" k;
+    if Pos_tree.Chunk_cache.length cache > Pos_tree.Chunk_cache.capacity then
+      Alcotest.failf "%d entries after %d proofs"
+        (Pos_tree.Chunk_cache.length cache) (i + 1)
+  done;
+  Alcotest.(check int) "full after more distinct chunks than it holds"
+    Pos_tree.Chunk_cache.capacity (Pos_tree.Chunk_cache.length cache)
+
 (* --- golden digests ---
 
    Ten seeded random workloads — build, update and batch proving — each
@@ -773,6 +918,13 @@ let () =
       ("range",
        [ Alcotest.test_case "range queries + proofs" `Quick test_range_queries ]
        @ qsuite [ prop_range_model ]);
+      ("cache",
+       [ Alcotest.test_case "altered bytes under a cached hash rejected" `Quick
+           test_cache_altered_bytes_rejected;
+         Alcotest.test_case "second check hashes less" `Quick
+           test_cache_second_check_hashes_less;
+         Alcotest.test_case "never above capacity" `Quick test_cache_bounded ]
+       @ qsuite [ prop_cache_same_verdict ]);
       ("golden",
        [ Alcotest.test_case "10-seed build/update/proof digests" `Quick
            test_golden_digests;

@@ -487,6 +487,22 @@ let test_dead_shard_read_times_out_not_hangs () =
       (* Bounded by the cluster RPC timeout (1 s default), not hanging. *)
       Alcotest.(check bool) "bounded by timeout" true (Sim.now () -. t0 < 2.5))
 
+(* A crashed shard must not pass for a key that was never written. *)
+let test_dead_shard_history_is_an_error () =
+  with_cluster ~shards:2 ~rpc_timeout:0.05 (fun cl ->
+      let c = Client.create cl ~id:1 ~sk:"k" in
+      ignore (Client.execute c (fun h -> Client.put h "a" "1"));
+      Sim.sleep 0.2;
+      (match Client.get_history c "a" ~n:5 with
+       | Ok [ ("1", _) ] -> ()
+       | Ok l -> Alcotest.failf "%d versions before the crash" (List.length l)
+       | Error e -> Alcotest.failf "live shard: %s" (Error.to_string e));
+      Cluster.crash_node cl (Cluster.shard_of_key cl "a");
+      match Client.get_history c "a" ~n:5 with
+      | Error _ -> ()
+      | Ok l ->
+        Alcotest.failf "dead shard answered with %d versions" (List.length l))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -525,4 +541,6 @@ let () =
       ("recovery",
        qsuite [ prop_recovery_preserves_committed_writes ]
        @ [ Alcotest.test_case "dead shard times out" `Quick
-             test_dead_shard_read_times_out_not_hangs ]) ]
+             test_dead_shard_read_times_out_not_hangs;
+           Alcotest.test_case "dead shard history is an error" `Quick
+             test_dead_shard_history_is_an_error ]) ]

@@ -161,12 +161,43 @@ let test_shard_mapping_stable () =
 let prop_rw_set_codec =
   QCheck.Test.make ~name:"rw-set codec roundtrip" ~count:100
     QCheck.(pair
-              (list (pair small_string small_nat))
+              (list
+                 (pair small_string
+                    (frequency [ (1, always (-1)); (3, small_nat) ])))
               (list (pair small_string small_string)))
     (fun (reads, writes) ->
       let r = { Kv.reads; writes } in
       let s = Glassdb_util.Codec.to_string Kv.encode_rw_set r in
       Glassdb_util.Codec.of_string Kv.decode_rw_set s = r)
+
+(* A read of an absent key records version -1; it must survive the codec,
+   and every version >= 0 must keep its plain varint bytes. *)
+let test_rw_set_codec_absent_version () =
+  let module Codec = Glassdb_util.Codec in
+  let encode reads = Codec.to_string Kv.encode_rw_set { Kv.reads; writes = [] } in
+  let roundtrip reads =
+    (Codec.of_string Kv.decode_rw_set (encode reads)).Kv.reads
+  in
+  let reads = [ ("a", -1); ("b", 0); ("c", 128); ("d", -1); ("e", 1 lsl 40) ] in
+  Alcotest.(check (list (pair string int))) "roundtrip" reads (roundtrip reads);
+  let plain =
+    Codec.to_string
+      (fun b () ->
+        Codec.write_list b
+          (fun b (k, v) ->
+            Codec.write_string b k;
+            Codec.write_varint b v)
+          [ ("b", 0); ("c", 128) ];
+        Codec.write_list b Codec.write_string [])
+      ()
+  in
+  Alcotest.(check string) "versions >= 0 keep their bytes" plain
+    (encode [ ("b", 0); ("c", 128) ]);
+  Alcotest.(check string) "-1 is the two-byte zero" "\x01\x01a\x80\x00\x00"
+    (encode [ ("a", -1) ]);
+  match encode [ ("a", -2) ] with
+  | _ -> Alcotest.fail "version -2 encoded"
+  | exception Invalid_argument _ -> ()
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -182,5 +213,7 @@ let () =
          Alcotest.test_case "pop_key fifo" `Quick test_cmap_pop_key ]);
       ("signatures",
        [ Alcotest.test_case "sign/verify/tamper" `Quick test_sign_verify_tamper;
-         Alcotest.test_case "shard mapping stable" `Quick test_shard_mapping_stable ]
+         Alcotest.test_case "shard mapping stable" `Quick test_shard_mapping_stable;
+         Alcotest.test_case "rw-set codec: absent-key version -1" `Quick
+           test_rw_set_codec_absent_version ]
        @ qsuite [ prop_rw_set_codec ]) ]
